@@ -10,6 +10,7 @@ from .quadforms import (
     compose_dirichlet,
     form_from_sl2,
     is_equivalent,
+    is_reduced,
     principal_form,
     reduce,
     reduced_forms,
@@ -34,6 +35,7 @@ __all__ = [
     "compose_dirichlet",
     "form_from_sl2",
     "is_equivalent",
+    "is_reduced",
     "kostant_cube",
     "principal_form",
     "rank_one_cube",

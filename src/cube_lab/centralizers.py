@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .conventions import DIAG_IMAGE_LAST_SIGN, DIAG_TRIPLE_FACTOR_DET
-from .cubes import Cube, act_entries, forms_entries
+from .cubes import Cube, act_entries, forms_entries, kostant_entries
 from .errors import InputError
-from .quadforms import SL2, _frac
+from .quadforms import SL2, _frac, form_sub
 from .ring import LaurentRing, Poly
 
 
@@ -134,11 +134,6 @@ def centralizer_matrix_symbolic(ring: LaurentRing, a: Poly, alpha: Poly):
     return ((diag, off), (a * a * off, diag))
 
 
-def stabilizer_check(triple, cube: Cube) -> bool:
-    """Exact componentwise check that the triple fixes the cube."""
-    return cube.transformed(triple) == cube
-
-
 @dataclass(frozen=True)
 class SymbolicReport:
     name: str
@@ -154,7 +149,7 @@ def verify_stab_kostant() -> SymbolicReport:
     al1, al2 = ring.var("al1"), ring.var("al2")
     al3 = (al1 * al2).monomial_inverse()
     hs = tuple(centralizer_matrix_symbolic(ring, a, al) for al in (al1, al2, al3))
-    kappa = [a * a, ring.zero, ring.zero, ring.zero, ring.zero, ring.one, ring.one, ring.one]
+    kappa = kostant_entries(a * a, ring.zero, ring.one)
     image = act_entries(hs, kappa)
     residuals = tuple(str(x - y) for x, y in zip(image, kappa) if x != y)
     return SymbolicReport("stabilizer-identity", not residuals, residuals)
@@ -196,7 +191,7 @@ def diagonalize_kostant() -> tuple[SymbolicReport, list]:
     """
     ring = LaurentRing(["a"], invertible=["a"])
     a = ring.var("a")
-    kappa = [a * a, ring.zero, ring.zero, ring.zero, ring.zero, ring.one, ring.one, ring.one]
+    kappa = kostant_entries(a * a, ring.zero, ring.one)
     residuals = []
     images = {}
     for root in (a, -a):
@@ -235,14 +230,28 @@ def sl2_fp(p: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def _form_sub_fp(q, g, p):
-    """(A, B, C) of q(g11 x + g12 y, g21 x + g22 y) mod p."""
-    A, B, C = q
+def binary_form_sub_fp(coeffs, g, p):
+    """Coefficients of f((x, y).g) mod p, where f = sum f_k x^(n-k) y^k is
+    the plain binary form of degree n = len(coeffs) - 1 and g = (g11, g12,
+    g21, g22) is ((g11, g12), (g21, g22)): (x, y).g = (g11 x + g21 y,
+    g12 x + g22 y)."""
     g11, g12, g21, g22 = g
-    a2 = (A * g11 * g11 + B * g11 * g21 + C * g21 * g21) % p
-    c2 = (A * g12 * g12 + B * g12 * g22 + C * g22 * g22) % p
-    b2 = (2 * A * g11 * g12 + B * (g11 * g22 + g12 * g21) + 2 * C * g21 * g22) % p
-    return (a2, b2, c2)
+    n = len(coeffs) - 1
+    out = [0] * (n + 1)
+    for k, coeff in enumerate(coeffs):
+        if coeff == 0:
+            continue
+        # coeff * (g11 x + g21 y)^(n-k) * (g12 x + g22 y)^k, by y-degree
+        term = [coeff]
+        for u, v in [(g11, g21)] * (n - k) + [(g12, g22)] * k:
+            nxt = [0] * (len(term) + 1)
+            for i, t in enumerate(term):
+                nxt[i] += t * u
+                nxt[i + 1] += t * v
+            term = nxt
+        for i, t in enumerate(term):
+            out[i] += t
+    return tuple(x % p for x in out)
 
 
 def _solve_fp(rows, rhs, p):
@@ -302,10 +311,16 @@ def stabilizer_bruteforce_fp(p: int, cube, collect: bool = False):
         cube = [int(x) for x in cube.entries()]
     entries = tuple(x % p for x in cube)
     group = sl2_fp(p)
-    qs = [tuple(x % p for x in q) for q in forms_entries(entries)]
+    # factor i acts on form i as act(g_i^T, .) (conventions item 3)
+    transposed = [((a, c), (b, d)) for a, b, c, d in group]
     cands = []
-    for i in range(2):
-        cands.append([g for g in group if _form_sub_fp(qs[i], g, p) == qs[i]])
+    for q in forms_entries(entries)[:2]:
+        q = tuple(x % p for x in q)
+        cands.append([])
+        for g, gt in zip(group, transposed):
+            a, b, c = form_sub(q, gt)
+            if (a % p, b % p, c % p) == q:
+                cands[-1].append(g)
     target = _third_factor_pairs(entries)
     t1 = [pair[0] for pair in target]
     t2 = [pair[1] for pair in target]
@@ -353,34 +368,6 @@ def _affine_points(x0, basis, p):
             )
 
 
-def _cubic_plain_sub_fp(coeffs, g, p):
-    """Substitute (x, y) -> (x, y).g into a plain cubic (f0 x^3 + f1 x^2 y + ...)."""
-    f0, f1, f2, f3 = coeffs
-    g11, g12, g21, g22 = g
-    # powers of (g11 x + g12 y) and (g21 x + g22 y)
-    out = [0, 0, 0, 0]
-    for k, coeff in enumerate((f0, f1, f2, f3)):
-        if coeff == 0:
-            continue
-        # (g11 x + g12 y)^(3-k) * (g21 x + g22 y)^k
-        poly = [1]
-        for _ in range(3 - k):
-            poly = _lin_mul_fp(poly, g11, g12, p)
-        for _ in range(k):
-            poly = _lin_mul_fp(poly, g21, g22, p)
-        for i, v in enumerate(poly):
-            out[i] = (out[i] + coeff * v) % p
-    return tuple(out)
-
-
-def _lin_mul_fp(poly, u, v, p):
-    out = [0] * (len(poly) + 1)
-    for i, coeff in enumerate(poly):
-        out[i] = (out[i] + coeff * u) % p
-        out[i + 1] = (out[i + 1] + coeff * v) % p
-    return out
-
-
 def cubic_stab_bruteforce_fp(p: int, cubic_coeffs) -> int:
     """Count of g in SL2(F_p) fixing the binary cubic (binomial coefficients
     (a, b, c, d) meaning a x^3 + 3b x^2 y + 3c x y^2 + d y^3)."""
@@ -390,4 +377,4 @@ def cubic_stab_bruteforce_fp(p: int, cubic_coeffs) -> int:
         raise InputError("binomial cubics need 3 invertible")
     a, b, c, d = (x % p for x in cubic_coeffs)
     plain = (a, 3 * b % p, 3 * c % p, d)
-    return sum(1 for g in sl2_fp(p) if _cubic_plain_sub_fp(plain, g, p) == plain)
+    return sum(1 for g in sl2_fp(p) if binary_form_sub_fp(plain, g, p) == plain)

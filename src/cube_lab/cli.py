@@ -12,15 +12,14 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import composition, orbits, variants
 from .conventions import conventions_text
 from .cubes import Cube, kostant_cube
 from .errors import InputError
 from .quadforms import (
-    BQF,
     SL2,
+    _frac,
     class_group,
     compose_dirichlet,
     frac_to_str,
@@ -31,18 +30,11 @@ from .quadforms import (
 from .verify import run_suite
 
 
-def _parse_fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {text!r}: {exc}") from exc
-
-
 def _parse_csv_fractions(text: str, expected: int | None = None):
     parts = [p for p in text.split(",") if p.strip()]
     if expected is not None and len(parts) != expected:
         raise InputError(f"expected {expected} comma-separated values, got {len(parts)}")
-    return [_parse_fraction(p) for p in parts]
+    return [_frac(p) for p in parts]
 
 
 def _parse_matrix(text: str) -> SL2:
@@ -63,10 +55,6 @@ def _read_cube(args) -> Cube:
     return Cube.from_json(data)
 
 
-def _form_json(q: BQF) -> dict:
-    return {"a": frac_to_str(q.a), "b": frac_to_str(q.b), "c": frac_to_str(q.c)}
-
-
 def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
@@ -76,7 +64,7 @@ def _emit(obj) -> None:
 def cmd_cube(args) -> int:
     sub = args.cube_cmd
     if sub == "kostant":
-        print(kostant_cube(_parse_fraction(args.s)).to_json())
+        print(kostant_cube(_frac(args.s)).to_json())
         return 0
     cube = _read_cube(args)
     if sub == "det":
@@ -87,7 +75,7 @@ def cmd_cube(args) -> int:
         print(frac_to_str(cube.trace_invariant()))
     elif sub == "forms":
         for q in cube.forms():
-            print(str(q) if args.pretty else json.dumps(_form_json(q), sort_keys=True))
+            print(str(q) if args.pretty else q.to_json())
     elif sub == "slices":
         pairs = cube.slices()
         _emit({
@@ -116,7 +104,7 @@ def cmd_forms(args) -> int:
         q = parse_form(args.form)
         red, g = reduce(q)
         _emit({
-            "reduced": _form_json(red),
+            "reduced": red.to_dict(),
             "witness": {k: frac_to_str(v) for k, v in
                         (("p", g.p), ("q", g.q), ("r", g.r), ("s", g.s))},
         })
@@ -124,13 +112,13 @@ def cmd_forms(args) -> int:
         print("true" if is_equivalent(parse_form(args.q1), parse_form(args.q2)) else "false")
     elif sub == "compose":
         out = compose_dirichlet(parse_form(args.q1), parse_form(args.q2))
-        _emit(_form_json(reduce(out)[0]))
+        _emit(reduce(out)[0].to_dict())
     elif sub == "classgroup":
         table = class_group(args.D)
         _emit({
             "discriminant": table.D,
             "class_number": table.class_number,
-            "forms": [_form_json(f) for f in table.forms],
+            "forms": [f.to_dict() for f in table.forms],
             "identity": table.identity,
             "table": table.table,
         })
@@ -150,9 +138,9 @@ def cmd_compose_cube(args) -> int:
     third = composition.third_form(cube)
     comp_idx = composition.compose_via_cube(q1, q2, table)
     _emit({
-        "cube": json.loads(cube.to_json()),
-        "third_form": _form_json(third),
-        "composition_class": _form_json(table.forms[comp_idx]),
+        "cube": cube.to_dict(),
+        "third_form": third.to_dict(),
+        "composition_class": table.forms[comp_idx].to_dict(),
     })
     return 0
 
@@ -162,7 +150,7 @@ def cmd_verify_cube(args) -> int:
     ok = composition.verify_triple_law(cube)
     _emit({
         "discriminant": frac_to_str(cube.hyperdet()),
-        "forms": [_form_json(q) for q in cube.forms()],
+        "forms": [q.to_dict() for q in cube.forms()],
         "triple_law": ok,
     })
     return 0 if ok else 1
@@ -178,7 +166,7 @@ def cmd_variants(args) -> int:
     elif sub == "resolvent":
         f = variants.BinaryCubic(*_parse_csv_fractions(args.cubic, 4))
         q = variants.resolvent(f)
-        print(json.dumps(_form_json(q), sort_keys=True) if args.json else str(q))
+        print(q.to_json() if args.json else str(q))
     elif sub == "quartic-ij":
         f = variants.BinaryQuartic(*_parse_csv_fractions(args.quartic, 5))
         i, j = variants.quartic_ij(f)

@@ -19,9 +19,15 @@ from fractions import Fraction
 from math import gcd
 
 from .conventions import THIRD_FORM_IS_INVERSE
-from .cubes import Cube
+from .cubes import Cube, entries_from_tensor
 from .errors import InputError, InternalError, UnsupportedInputError
-from .quadforms import BQF, ClassGroupTable, class_group
+from .quadforms import (
+    BQF,
+    ClassGroupTable,
+    _require_discriminant,
+    _require_reducible,
+    class_group,
+)
 
 Element = tuple[int, int]  # u + v*tau
 
@@ -33,8 +39,7 @@ class QuadraticOrder:
     D: int
 
     def __post_init__(self):
-        if self.D >= 0 or self.D % 4 not in (0, 1):
-            raise InputError(f"{self.D} is not a negative discriminant")
+        _require_discriminant(self.D)
 
     @property
     def tau_norm(self) -> int:
@@ -129,7 +134,7 @@ class OrientedIdeal:
 
 def form_to_ideal(q: BQF) -> OrientedIdeal:
     """The ideal with basis (a, (b + sqrt(D))/2); its norm form is q again."""
-    _check_composable(q)
+    _require_reducible(q)
     D = int(q.discriminant())
     a, b = int(q.a), int(q.b)
     return OrientedIdeal(QuadraticOrder(D), ((a, 0), ((b - D) // 2, 1)))
@@ -150,22 +155,6 @@ def ideal_to_form(ideal: OrientedIdeal) -> BQF:
     return BQF(a, b, c)
 
 
-def _check_composable(q: BQF) -> None:
-    if not q.is_integral() or not q.is_primitive():
-        raise InputError(f"{q} is not an integral primitive form")
-    if q.discriminant() >= 0:
-        raise InputError(f"discriminant {q.discriminant()} is not negative")
-    if q.a <= 0:
-        raise InputError(f"{q} is not positive definite")
-
-
-# cube slot for each triple of basis indices (factor order 1, 2, 3)
-_SLOT_NAMES = {
-    (0, 0, 0): 0, (1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3,
-    (1, 1, 1): 4, (0, 1, 1): 5, (1, 0, 1): 6, (1, 1, 0): 7,
-}
-
-
 def cube_from_forms(q1: BQF, q2: BQF) -> Cube:
     """Integral cube whose first two forms are equivalent to q1 and q2.
 
@@ -173,8 +162,8 @@ def cube_from_forms(q1: BQF, q2: BQF) -> Cube:
     composition class (see cube_lab.conventions item 8); the cube's
     hyperdeterminant equals the common discriminant exactly.
     """
-    _check_composable(q1)
-    _check_composable(q2)
+    _require_reducible(q1)
+    _require_reducible(q2)
     if q1.discriminant() != q2.discriminant():
         raise InputError("discriminant mismatch")
     order = QuadraticOrder(int(q1.discriminant()))
@@ -188,15 +177,15 @@ def cube_from_forms(q1: BQF, q2: BQF) -> Cube:
     # class convention is pinned to this basis order: re-normalizing it to a
     # positively-oriented basis would invert the attached classes.
     i3_basis = tuple(order.conj(r) for r in j.basis)
-    entries = [0] * 8
+    t = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
     for a in (0, 1):
         for b in (0, 1):
             for c in (0, 1):
                 prod = order.mul(order.mul(i1.basis[a], i2.basis[b]), i3_basis[c])
                 if prod[0] % nj or prod[1] % nj:
                     raise InternalError("triple product is not integral")
-                entries[_SLOT_NAMES[(a, b, c)]] = prod[1] // nj
-    cube = Cube(*entries)
+                t[a][b][c] = prod[1] // nj
+    cube = Cube(*entries_from_tensor(t))
     if cube.hyperdet() != order.D:
         raise InternalError("cube discriminant mismatch")
     return cube

@@ -113,52 +113,37 @@ def trace_entries(entries):
     return a * c + b1 * d1 + b2 * d2 + b3 * d3
 
 
+def contract_axis(axis, g, t):
+    """Apply the 2x2 matrix g to tensor index `axis` of the 2x2x2 array t,
+    over any commutative ring: on that index e1 -> g[0][0] e1 + g[0][1] e2
+    and e2 -> g[1][0] e1 + g[1][1] e2 (the row convention)."""
+    new = [[[None, None], [None, None]], [[None, None], [None, None]]]
+    for pos in _SLOT:
+        lo, hi = list(pos), list(pos)
+        lo[axis], hi[axis] = 0, 1
+        col = pos[axis]
+        new[pos[0]][pos[1]][pos[2]] = (g[0][col] * t[lo[0]][lo[1]][lo[2]]
+                                       + g[1][col] * t[hi[0]][hi[1]][hi[2]])
+    return new
+
+
 def act_entries(gs, entries):
     """Action of a triple of 2x2 matrices, factor i on tensor index i.
 
-    Each factor substitutes e1 -> g[0][0] e1 + g[0][1] e2 and
-    e2 -> g[1][0] e1 + g[1][1] e2 on its index (row convention; the pinned
-    conventions are documented in cube_lab.conventions).  Matrices are plain
-    nested pairs ((p, q), (r, s)) over any commutative ring.
+    Factor i is contracted into index i by :func:`contract_axis` (row
+    convention; the pinned conventions are documented in
+    cube_lab.conventions).  Matrices are plain nested pairs
+    ((p, q), (r, s)) over any commutative ring.
     """
     t = tensor_from_entries(entries)
     for axis, g in enumerate(gs):
-        zero = entries[0] - entries[0]
-        new = [[[zero, zero], [zero, zero]], [[zero, zero], [zero, zero]]]
-        for i in (0, 1):
-            for j in (0, 1):
-                for k in (0, 1):
-                    val = t[i][j][k]
-                    idx = (i, j, k)[axis]
-                    for target in (0, 1):
-                        coeff = g[idx][target]
-                        pos = list((i, j, k))
-                        pos[axis] = target
-                        new[pos[0]][pos[1]][pos[2]] = (
-                            new[pos[0]][pos[1]][pos[2]] + coeff * val
-                        )
-        t = new
+        t = contract_axis(axis, g, t)
     return entries_from_tensor(t)
 
 
 def lie_act_entries(axis, xi, entries):
     """Derivative of the action in one factor: contract index `axis` with xi."""
-    t = tensor_from_entries(entries)
-    zero = entries[0] - entries[0]
-    new = [[[zero, zero], [zero, zero]], [[zero, zero], [zero, zero]]]
-    for i in (0, 1):
-        for j in (0, 1):
-            for k in (0, 1):
-                val = t[i][j][k]
-                idx = (i, j, k)[axis]
-                for target in (0, 1):
-                    coeff = xi[idx][target]
-                    pos = list((i, j, k))
-                    pos[axis] = target
-                    new[pos[0]][pos[1]][pos[2]] = (
-                        new[pos[0]][pos[1]][pos[2]] + coeff * val
-                    )
-    return entries_from_tensor(new)
+    return entries_from_tensor(contract_axis(axis, xi, tensor_from_entries(entries)))
 
 
 def symplectic_pairing_entries(e1, e2):
@@ -201,10 +186,6 @@ class Cube:
         for name in ENTRY_NAMES:
             object.__setattr__(self, name, _frac(getattr(self, name)))
 
-    @staticmethod
-    def from_entries(entries) -> "Cube":
-        return Cube(*entries)
-
     def entries(self) -> tuple[Fraction, ...]:
         return tuple(getattr(self, name) for name in ENTRY_NAMES)
 
@@ -230,16 +211,16 @@ class Cube:
         gs = tuple(g.rows() if isinstance(g, SL2) else g for g in triple)
         return Cube(*act_entries(gs, self.entries()))
 
+    def to_dict(self) -> dict:
+        return {
+            "a": frac_to_str(self.a),
+            "b": [frac_to_str(self.b1), frac_to_str(self.b2), frac_to_str(self.b3)],
+            "c": frac_to_str(self.c),
+            "d": [frac_to_str(self.d1), frac_to_str(self.d2), frac_to_str(self.d3)],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "a": frac_to_str(self.a),
-                "b": [frac_to_str(self.b1), frac_to_str(self.b2), frac_to_str(self.b3)],
-                "c": frac_to_str(self.c),
-                "d": [frac_to_str(self.d1), frac_to_str(self.d2), frac_to_str(self.d3)],
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "Cube":
@@ -249,10 +230,7 @@ class Cube:
             d = data["d"]
             if len(b) != 3 or len(d) != 3:
                 raise ValueError("b and d must have three entries")
-            return Cube(
-                Fraction(data["a"]), Fraction(b[0]), Fraction(b[1]), Fraction(b[2]),
-                Fraction(data["c"]), Fraction(d[0]), Fraction(d[1]), Fraction(d[2]),
-            )
+            return Cube(data["a"], b[0], b[1], b[2], data["c"], d[0], d[1], d[2])
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"malformed cube JSON: {exc}") from exc
 
@@ -267,9 +245,15 @@ def act(triple, cube: Cube) -> Cube:
     return cube.transformed(triple)
 
 
+def kostant_entries(s, zero, one):
+    """Entries (s, (0,0,0), 0, (1,1,1)) of the slice, over any ring with the
+    given zero and one; its hyperdet is 4s."""
+    return (s, zero, zero, zero, zero, one, one, one)
+
+
 def kostant_cube(s) -> Cube:
     """The slice value (s, (0,0,0), 0, (1,1,1)); its hyperdet is 4s."""
-    return Cube(s, 0, 0, 0, 0, 1, 1, 1)
+    return Cube(*kostant_entries(s, 0, 1))
 
 
 GHZ = Cube(1, 0, 0, 0, 1, 0, 0, 0)

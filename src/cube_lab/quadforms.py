@@ -14,17 +14,21 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterator
 
 from .errors import InputError, InternalError, UnsupportedInputError
+from .ring import format_terms
 
 Q = Fraction
 
 
 def _frac(x) -> Fraction:
+    """The one path from an int, a Fraction or a 'p/q' string to a Fraction."""
     if isinstance(x, float):
         raise InputError("floating point input rejected; use int, Fraction or 'p/q' strings")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad rational {x!r}: {exc}") from exc
 
 
 def frac_to_str(q: Fraction) -> str:
@@ -105,47 +109,28 @@ class BQF:
         g = gcd(gcd(self.a.numerator, self.b.numerator), self.c.numerator)
         return g == 1
 
-    def is_positive_definite(self) -> bool:
-        return self.discriminant() < 0 and self.a > 0
-
     def is_negative_definite(self) -> bool:
         return self.discriminant() < 0 and self.a < 0
 
     def __neg__(self) -> "BQF":
         return BQF(-self.a, -self.b, -self.c)
 
+    def to_dict(self) -> dict:
+        return {"a": frac_to_str(self.a), "b": frac_to_str(self.b), "c": frac_to_str(self.c)}
+
     def to_json(self) -> str:
-        return json.dumps(
-            {"a": frac_to_str(self.a), "b": frac_to_str(self.b), "c": frac_to_str(self.c)},
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @staticmethod
     def from_json(text: str) -> "BQF":
         try:
             data = json.loads(text)
-            return BQF(Fraction(data["a"]), Fraction(data["b"]), Fraction(data["c"]))
+            return BQF(data["a"], data["b"], data["c"])
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"malformed form JSON: {exc}") from exc
 
     def __str__(self) -> str:
-        parts = []
-        for coeff, mono in ((self.a, "x^2"), (self.b, "xy"), (self.c, "y^2")):
-            if coeff == 0:
-                continue
-            if coeff == 1:
-                text = mono
-            elif coeff == -1:
-                text = f"-{mono}"
-            else:
-                text = f"{frac_to_str(coeff)}{mono}"
-            parts.append(text)
-        if not parts:
-            return "0"
-        out = parts[0]
-        for t in parts[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return format_terms(zip(self.coefficients(), ("x^2", "xy", "y^2")), "")
 
 
 # -- the form <-> traceless matrix dictionary -------------------------------
@@ -168,15 +153,22 @@ def sl2_from_form(q: BQF):
 
 # -- group action ------------------------------------------------------------
 
+def form_sub(q, g):
+    """Coefficients of q(v.g) for the row vector v = (x, y), over any
+    commutative ring: q = (a, b, c) is a x^2 + b xy + c y^2 and
+    g = ((p, q), (r, s)), so v.g = (px + ry, qx + sy)."""
+    a, b, c = q
+    (p, q_), (r, s) = g
+    return (
+        a * p * p + b * p * q_ + c * q_ * q_,
+        2 * a * p * r + b * (p * s + q_ * r) + 2 * c * q_ * s,
+        a * r * r + b * r * s + c * s * s,
+    )
+
+
 def act(g: SL2, q: BQF) -> BQF:
     """(g.q)(v) = q(v.g) for the row vector v = (x, y); a left action."""
-    # v.g = (px + ry, qx + sy)
-    p, r = g.p, g.r
-    s, t = g.q, g.s
-    a = q(p, s)
-    c = q(r, t)
-    b = 2 * q.a * p * r + q.b * (p * t + r * s) + 2 * q.c * s * t
-    return BQF(a, b, c)
+    return BQF(*form_sub(q.coefficients(), g.rows()))
 
 
 def _require_reducible(q: BQF) -> None:
@@ -307,9 +299,13 @@ def compose_dirichlet(q1: BQF, q2: BQF) -> BQF:
     return BQF(a1 * a2, B, num // (4 * a1 * a2))
 
 
-def principal_form(D: int) -> BQF:
+def _require_discriminant(D: int) -> None:
     if D >= 0 or D % 4 not in (0, 1):
         raise InputError(f"{D} is not a negative discriminant")
+
+
+def principal_form(D: int) -> BQF:
+    _require_discriminant(D)
     k = D % 2
     return BQF(1, k, (k * k - D) // 4)
 
@@ -318,8 +314,7 @@ def principal_form(D: int) -> BQF:
 
 def reduced_forms(D: int) -> list[BQF]:
     """All reduced primitive positive-definite forms of discriminant D."""
-    if D >= 0 or D % 4 not in (0, 1):
-        raise InputError(f"{D} is not a negative discriminant")
+    _require_discriminant(D)
     out = []
     a_max = isqrt(-D // 3)
     for a in range(1, a_max + 1):
@@ -377,12 +372,6 @@ class ClassGroupTable:
         f = self.forms[i]
         return self.index(BQF(f.a, -f.b, f.c))
 
-    def power(self, i: int, n: int) -> int:
-        out = self.identity
-        for _ in range(n):
-            out = self.compose(out, i)
-        return out
-
     def check_group_axioms(self) -> bool:
         n = len(self.forms)
         for i in range(n):
@@ -424,14 +413,4 @@ def parse_form(text: str) -> BQF:
     parts = text.split(",")
     if len(parts) != 3:
         raise InputError(f"expected 'a,b,c', got {text!r}")
-    return BQF(*(Fraction(p.strip()) for p in parts))
-
-
-def small_sl2_words(bound: int = 3) -> Iterator[SL2]:
-    """All integral SL2 matrices with entries bounded by `bound`."""
-    for p in range(-bound, bound + 1):
-        for q in range(-bound, bound + 1):
-            for r in range(-bound, bound + 1):
-                for s in range(-bound, bound + 1):
-                    if p * s - q * r == 1:
-                        yield SL2(p, q, r, s)
+    return BQF(*parts)

@@ -21,6 +21,30 @@ from .errors import InputError
 Scalar = Union[int, Fraction]
 
 
+def format_terms(terms, times: str) -> str:
+    """Signed sum of (coefficient, monomial) pairs, zero terms dropped: a unit
+    coefficient is not printed, `times` joins any other one to its monomial,
+    an empty monomial is a constant, and a negative term joins with ' - '."""
+    bits = []
+    for coeff, mono in terms:
+        if coeff == 0:
+            continue
+        if not mono:
+            bits.append(str(coeff))
+        elif coeff == 1:
+            bits.append(mono)
+        elif coeff == -1:
+            bits.append(f"-{mono}")
+        else:
+            bits.append(f"{coeff}{times}{mono}")
+    if not bits:
+        return "0"
+    out = bits[0]
+    for b in bits[1:]:
+        out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
+    return out
+
+
 class LaurentRing:
     """Fixed variable universe: ordered names plus an invertible subset."""
 
@@ -131,9 +155,6 @@ class Poly:
         if not self.is_constant():
             raise InputError(f"{self} is not a constant")
         return next(iter(self.terms.values()))
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
 
     def coefficient(self, exponents: Mapping[str, int]) -> Fraction:
         exp = [0] * len(self.ring.names)
@@ -282,30 +303,12 @@ class Poly:
         return True
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
+        terms = []
         for exp in sorted(self.terms, reverse=True):
-            coeff = self.terms[exp]
-            factors = []
-            for name, e in zip(self.ring.names, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e != 0:
-                    factors.append(f"{name}^{e}")
-            mono = "*".join(factors)
-            if not mono:
-                bits.append(str(coeff))
-            elif coeff == 1:
-                bits.append(mono)
-            elif coeff == -1:
-                bits.append(f"-{mono}")
-            else:
-                bits.append(f"{coeff}*{mono}")
-        out = bits[0]
-        for b in bits[1:]:
-            out += f" - {b[1:]}" if b.startswith("-") else f" + {b}"
-        return out
+            mono = "*".join(name if e == 1 else f"{name}^{e}"
+                            for name, e in zip(self.ring.names, exp) if e)
+            terms.append((self.terms[exp], mono))
+        return format_terms(terms, "*")
 
 
 class RewriteRelation:

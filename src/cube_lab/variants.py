@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from .cubes import Cube, embed_cubic_entries, embed_pair_entries, rank_one_entries
 from .errors import InputError, UnsupportedInputError
-from .quadforms import BQF, _frac, frac_to_str
-from .ring import LaurentRing
-from .centralizers import sl2_fp
+from .quadforms import BQF, _frac
+from .ring import LaurentRing, format_terms
+from .centralizers import binary_form_sub_fp, sl2_fp
 
 
 @dataclass(frozen=True)
@@ -43,22 +43,7 @@ class BinaryCubic:
         return (self.a, self.b, self.c, self.d)
 
     def __str__(self) -> str:
-        parts = []
-        for coeff, mono in zip(self.plain(), ("x^3", "x^2y", "xy^2", "y^3")):
-            if coeff == 0:
-                continue
-            if coeff == 1:
-                parts.append(mono)
-            elif coeff == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{frac_to_str(coeff)}{mono}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for t in parts[1:]:
-            out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
-        return out
+        return format_terms(zip(self.plain(), ("x^3", "x^2y", "xy^2", "y^3")), "")
 
 
 def cubic_disc_terms(a, b, c, d):
@@ -191,31 +176,6 @@ def embed_pair(pair: FormPair) -> Cube:
 
 # -- finite-field quartic stabilizers vs 2-torsion point counts ---------------
 
-def _quartic_plain_sub_fp(coeffs, g, p):
-    """(x, y) -> (x, y).g substituted into a plain quartic, mod p."""
-    g11, g12, g21, g22 = g
-    out = [0] * 5
-    for k, coeff in enumerate(coeffs):
-        if coeff == 0:
-            continue
-        poly = [1]
-        for _ in range(4 - k):
-            poly = _lin_mul_fp(poly, g11, g12, p)
-        for _ in range(k):
-            poly = _lin_mul_fp(poly, g21, g22, p)
-        for i, v in enumerate(poly):
-            out[i] = (out[i] + coeff * v) % p
-    return tuple(out)
-
-
-def _lin_mul_fp(poly, u, v, p):
-    out = [0] * (len(poly) + 1)
-    for i, coeff in enumerate(poly):
-        out[i] = (out[i] + coeff * u) % p
-        out[i + 1] = (out[i + 1] + coeff * v) % p
-    return out
-
-
 def pgl2_fp(p: int) -> list[tuple[int, int, int, int]]:
     """Representatives of PGL2(F_p): SL2 mod +-1, plus the coset twisted by
     diag(n0, 1) for a nonsquare n0.  |PGL2(F_p)| = p(p^2 - 1)."""
@@ -249,7 +209,7 @@ def quartic_stab_count_fp(p: int, d: int, e: int) -> int:
     for g in pgl2_fp(p):
         det = (g[0] * g[3] - g[1] * g[2]) % p
         scale = pow(det * det % p, -1, p)
-        moved = tuple(v * scale % p for v in _quartic_plain_sub_fp(coeffs, g, p))
+        moved = tuple(v * scale % p for v in binary_form_sub_fp(coeffs, g, p))
         if moved == coeffs:
             count += 1
     return count

@@ -17,23 +17,28 @@ from . import centralizers, composition, orbits, quadforms, variants
 from .conventions import (
     COMPACT_DET_SIGN,
     GRAM_SIGN,
+    MOMENT_MIRROR_TWIST,
     THIRD_FORM_IS_INVERSE,
 )
 from .cubes import (
+    GHZ,
     Cube,
     ENTRY_NAMES,
+    W,
     act_entries,
     det2,
+    embed_cubic_entries,
+    embed_pair_entries,
     forms_entries,
     gram_det_entries,
     hyperdet_entries,
-    kostant_cube,
+    kostant_entries,
     lie_act_entries,
     slices_entries,
     symplectic_pairing_entries,
     trace_entries,
 )
-from .quadforms import class_group, compose_dirichlet, random_sl2z
+from .quadforms import class_group, compose_dirichlet, form_sub, random_sl2z
 from .ring import LaurentRing
 
 DEFAULT_DISCRIMINANTS = (-23, -47, -71, -163, -231)
@@ -44,7 +49,7 @@ DEFAULT_PRIMES = (3, 5, 7)
 @dataclass
 class CheckResult:
     name: str
-    status: str  # PASS / FAIL / SKIP
+    status: str  # PASS / FAIL
     detail: str
     elapsed: float
 
@@ -63,9 +68,6 @@ class Report:
             status = "FAIL"
             detail = str(exc)
         self.results.append(CheckResult(name, status, detail, time.perf_counter() - start))
-
-    def skip(self, name: str, why: str) -> None:
-        self.results.append(CheckResult(name, "SKIP", why, 0.0))
 
     @property
     def ok(self) -> bool:
@@ -131,22 +133,12 @@ def check_mod4():
 def check_kostant_slice():
     ring = LaurentRing(("a",))
     a = ring.var("a")
-    kappa = [a * a, ring.zero, ring.zero, ring.zero, ring.zero, ring.one, ring.one, ring.one]
+    kappa = kostant_entries(a * a, ring.zero, ring.one)
     assert (hyperdet_entries(kappa) - 4 * a * a).is_zero(), "hyperdet(kappa(a^2)) != 4a^2"
     for q in forms_entries(kappa):
         assert q[0] == a * a and q[1].is_zero() and q[2] == ring.const(-1), \
             "slice form is not a^2 x^2 - y^2"
     return "hyperdet(kappa(a^2)) = 4a^2; all three forms a^2 x^2 - y^2"
-
-
-def _form_sub_terms(q, g):
-    a, b, c = q
-    p, q_, r, s = g[0][0], g[0][1], g[1][0], g[1][1]
-    return (
-        a * p * p + b * p * q_ + c * q_ * q_,
-        2 * a * p * r + b * (p * s + r * q_) + 2 * c * q_ * s,
-        a * r * r + b * r * s + c * s * s,
-    )
 
 
 def check_equivariance():
@@ -167,7 +159,7 @@ def check_equivariance():
             after = forms_entries(image)
             assert (hyperdet_entries(image) - hd).is_zero(), "hyperdet not invariant"
             for i in range(3):
-                expected = _form_sub_terms(before[i], transposed) if i == factor else before[i]
+                expected = form_sub(before[i], transposed) if i == factor else before[i]
                 assert all(
                     (x - y).is_zero() for x, y in zip(after[i], expected)
                 ), f"factor {factor + 1} does not act as g^T on form {i + 1}"
@@ -184,9 +176,12 @@ def check_moment_map():
         ((one, zero), (zero, -one)),
     )
     half = Fraction(1, 2)
+    twist = -1 if MOMENT_MIRROR_TWIST else 1
     for factor in range(3):
         a, b, c = qs[factor]
-        mirror = ((b * Fraction(-1, 2), (-1) * c), (a, b * half))
+        # the traceless matrix (m, n; k, -m) of the form (a, twist * b, c)
+        m = b * (twist * half)
+        mirror = ((m, -c), (a, -m))
         for xi in basis:
             lhs = symplectic_pairing_entries(e, lie_act_entries(factor, xi, e)) * half
             tr = (mirror[0][0] * xi[0][0] + mirror[0][1] * xi[1][0]
@@ -217,7 +212,7 @@ def check_centralizer_homomorphism():
 def check_cubic_embedding():
     ring = LaurentRing(("a", "b", "c", "d"))
     a, b, c, d = (ring.var(n) for n in "abcd")
-    cube = (a, b, b, b, d, c, c, c)
+    cube = embed_cubic_entries(a, b, c, d)
     disc = variants.cubic_disc_terms(a, b, c, d)
     assert (hyperdet_entries(cube) - disc).is_zero(), "hyperdet(embed) != cubic disc"
     res = variants.resolvent_terms(a, b, c, d)
@@ -231,7 +226,7 @@ def check_cubic_embedding():
 def check_pair_embedding():
     ring = LaurentRing(("a", "b", "c", "d", "e", "f"))
     a, b, c, d, e, f = (ring.var(n) for n in "abcdef")
-    cube = (a, b, d, b, f, e, c, e)
+    cube = embed_pair_entries(a, b, c, d, e, f)
     disc = variants.pair_disc_terms(a, b, c, d, e, f)
     assert (hyperdet_entries(cube) - disc).is_zero(), "hyperdet(embed) != pair disc"
     qs = forms_entries(cube)
@@ -270,7 +265,6 @@ def check_components():
 
 
 def check_sphericity():
-    expected_true = set()
     for (letter, lo, hi) in (("A", 1, 8), ("B", 2, 8), ("C", 3, 8), ("D", 4, 8),
                              ("E", 6, 8), ("F", 4, 4), ("G", 2, 2)):
         for rank in range(lo, hi + 1):
@@ -278,8 +272,6 @@ def check_sphericity():
                 got = variants.spherical_diag_check(letter, rank, j)
                 want = j == 2 or (j == 3 and letter == "A" and rank == 1)
                 assert got == want, f"({letter}{rank}, j={j}): got {got}"
-                if got:
-                    expected_true.add((letter, rank, j))
     return "spherical iff j = 2 (any type) or j = 3 with A1"
 
 
@@ -309,9 +301,8 @@ def check_orbit_representatives():
     for info in orbits.all_orbit_info():
         got = orbits.classify(info.representative)
         assert got == info.orbit, f"{info.orbit}: classified as {got}"
-    ghz = Cube(1, 0, 0, 0, 1, 0, 0, 0)
-    assert orbits.classify(ghz) == orbits.OrbitClass.GENERIC
-    assert orbits.classify(kostant_cube(0)) == orbits.OrbitClass.W
+    assert orbits.classify(GHZ) == orbits.OrbitClass.GENERIC
+    assert orbits.classify(W) == orbits.OrbitClass.W
     return "seven classes classify their representatives (and GHZ is generic)"
 
 
@@ -431,8 +422,7 @@ def make_ff_stabilizer_check(p):
         split = next(y for y in range(1, p) if centralizers.is_split_fiber(p, y))
         nonsplit = next(y for y in range(1, p) if not centralizers.is_split_fiber(p, y))
         for y, expected in ((split, (p - 1) ** 2), (nonsplit, (p + 1) ** 2)):
-            entries = [int(v) for v in kostant_cube(y).entries()]
-            got = centralizers.stabilizer_bruteforce_fp(p, entries)
+            got = centralizers.stabilizer_bruteforce_fp(p, kostant_entries(y, 0, 1))
             assert got == expected, f"kappa({y}) mod {p}: {got} != {expected}"
         return f"split (p-1)^2 = {(p - 1) ** 2}, nonsplit (p+1)^2 = {(p + 1) ** 2}"
     return check

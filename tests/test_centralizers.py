@@ -3,9 +3,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cube_lab.centralizers import (
     JElement,
+    binary_form_sub_fp,
     centralizer_matrix,
     cubic_stab_bruteforce_fp,
     diagonalize_kostant,
@@ -18,7 +20,6 @@ from cube_lab.centralizers import (
     j_torsion_order,
     sl2_fp,
     stabilizer_bruteforce_fp,
-    stabilizer_check,
     verify_centralizer_homomorphism,
     verify_stab_kostant,
 )
@@ -27,6 +28,11 @@ from cube_lab.errors import InputError
 from cube_lab.quadforms import SL2
 
 rng = random.Random(3)
+
+
+def stabilizer_check(triple, cube: Cube) -> bool:
+    """Exact componentwise check that the triple fixes the cube."""
+    return cube.transformed(triple) == cube
 
 
 def test_j_element_validation():
@@ -241,3 +247,22 @@ def test_cubic_stab_degenerate_is_report_only():
     # triple root: the count is whatever it is, just well-defined
     count = cubic_stab_bruteforce_fp(5, (1, 0, 0, 0))
     assert count >= 1
+
+
+@given(st.sampled_from((5, 7, 11, 13)), st.integers(2, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_binary_form_sub_fp_matches_pointwise_substitution(p, n, data):
+    # a form of degree n < p is fixed by its values on F_p^2, so agreeing
+    # at every point means agreeing coefficientwise
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=n + 1, max_size=n + 1))
+    g11, g12, g21, g22 = g = data.draw(st.tuples(*[st.integers(0, p - 1)] * 4))
+    got = binary_form_sub_fp(coeffs, g, p)
+    assert len(got) == n + 1 and all(0 <= c < p for c in got)
+
+    def value(cs, x, y):
+        return sum(c * x ** (n - k) * y ** k for k, c in enumerate(cs)) % p
+
+    for x in range(p):
+        for y in range(p):
+            # (x, y).g = (g11 x + g21 y, g12 x + g22 y)
+            assert value(got, x, y) == value(coeffs, g11 * x + g21 * y, g12 * x + g22 * y)

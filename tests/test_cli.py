@@ -151,6 +151,24 @@ def test_malformed_input_exits_2(capsys):
     assert code == 2
 
 
+def test_json_float_entry_exits_2(capsys):
+    # a JSON float would otherwise become a dyadic rational (1.5 -> 3/2)
+    code, out, err = run(capsys, "cube", "det",
+                         "--cube", '{"a":1.5,"b":["0","0","0"],"c":"1","d":["0","0","0"]}')
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_zero_denominator_exits_2(capsys):
+    code, out, err = run(capsys, "cube", "det",
+                         "--cube", '{"a":"1/0","b":["0","0","0"],"c":"1","d":["0","0","0"]}')
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_non_numeric_form_coefficient_exits_2(capsys):
+    code, out, err = run(capsys, "forms", "reduce", "--form", "1,x,3")
+    assert code == 2 and out == "" and "error:" in err
+
+
 def test_verify_symbolic_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "--suite", "symbolic", "--seed", "7")
     code2, out2, _ = run(capsys, "verify", "--suite", "symbolic", "--seed", "7")

@@ -2,9 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cube_lab.conventions import GRAM_SIGN
-from cube_lab.cubes import GHZ, W, Cube, act, kostant_cube, rank_one_cube
+from cube_lab.cubes import (
+    GHZ,
+    W,
+    Cube,
+    act,
+    act_entries,
+    kostant_cube,
+    rank_one_cube,
+    rank_one_entries,
+)
 from cube_lab.errors import InputError
 from cube_lab.quadforms import BQF, SL2, act as form_act, random_sl2z
 
@@ -143,3 +153,20 @@ def test_floats_rejected():
 def test_module_level_act_helper():
     triple = (SL2.identity(), SL2(1, 1, 0, 1), SL2.identity())
     assert act(triple, GHZ) == GHZ.transformed(triple)
+
+
+fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+vectors = st.tuples(fracs, fracs)
+matrices = st.tuples(vectors, vectors)
+
+
+@given(vectors, vectors, vectors, st.tuples(matrices, matrices, matrices))
+@settings(max_examples=80, deadline=None)
+def test_act_entries_on_rank_one_cubes(u, v, w, gs):
+    # row convention: u (x) v (x) w goes to u.g1 (x) v.g2 (x) w.g3; rank-one
+    # cubes span all cubes, so this pins the action
+    def row_times(vec, g):
+        return tuple(vec[0] * g[0][j] + vec[1] * g[1][j] for j in (0, 1))
+
+    moved = [row_times(x, g) for x, g in zip((u, v, w), gs)]
+    assert act_entries(gs, rank_one_entries(u, v, w)) == rank_one_entries(*moved)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cube_lab.errors import InputError, UnsupportedInputError
 from cube_lab.quadforms import (
@@ -11,6 +12,7 @@ from cube_lab.quadforms import (
     class_group,
     compose_dirichlet,
     form_from_sl2,
+    form_sub,
     is_equivalent,
     is_reduced,
     principal_form,
@@ -18,10 +20,19 @@ from cube_lab.quadforms import (
     reduce,
     reduced_forms,
     sl2_from_form,
-    small_sl2_words,
 )
 
 rng = random.Random(11)
+
+
+def small_sl2_words(bound: int = 3):
+    """All integral SL2 matrices with entries bounded by `bound`."""
+    for p in range(-bound, bound + 1):
+        for q in range(-bound, bound + 1):
+            for r in range(-bound, bound + 1):
+                for s in range(-bound, bound + 1):
+                    if p * s - q * r == 1:
+                        yield SL2(p, q, r, s)
 
 
 def test_discriminant():
@@ -192,3 +203,15 @@ def test_str():
     assert str(BQF(Fraction(-1, 4), 0, -1)) == "-1/4x^2 - y^2"
     assert str(BQF(0, 1, 0)) == "xy"
     assert str(BQF(0, 0, 0)) == "0"
+
+
+fracs = st.fractions(min_value=-10, max_value=10, max_denominator=6)
+
+
+@given(st.tuples(fracs, fracs, fracs), st.tuples(fracs, fracs, fracs, fracs), fracs, fracs)
+@settings(max_examples=80, deadline=None)
+def test_form_sub_matches_evaluation(q, g, x, y):
+    p, q_, r, s = g
+    image = BQF(*form_sub(q, ((p, q_), (r, s))))
+    # q(v.g) at the row vector v = (x, y): v.g = (px + ry, qx + sy)
+    assert image(x, y) == BQF(*q)(p * x + r * y, q_ * x + s * y)
