@@ -18,8 +18,6 @@ from math import gcd, isqrt
 from .errors import InputError, InternalError, UnsupportedInputError
 from .ring import format_terms
 
-Q = Fraction
-
 
 def _frac(x) -> Fraction:
     """The one path from an int, a Fraction or a 'p/q' string to a Fraction."""
