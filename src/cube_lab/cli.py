@@ -20,6 +20,7 @@ from .errors import InputError
 from .quadforms import (
     SL2,
     _frac,
+    _require_discriminant,
     class_group,
     compose_dirichlet,
     frac_to_str,
@@ -27,7 +28,7 @@ from .quadforms import (
     parse_form,
     reduce,
 )
-from .verify import run_suite
+from .verify import SUPPORTED_PRIMES, run_suite
 
 
 def _parse_csv_fractions(text: str, expected: int | None = None):
@@ -196,6 +197,13 @@ def cmd_variants(args) -> int:
     return 0
 
 
+def _parse_ints(text: str, flag: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise InputError(f"{flag} expects comma-separated integers, got {text!r}") from None
+
+
 def cmd_verify(args) -> int:
     if args.conventions:
         print(conventions_text())
@@ -207,8 +215,14 @@ def cmd_verify(args) -> int:
             seed = int(env_seed)
         except ValueError:
             raise InputError(f"CUBELAB_SEED must be an integer, got {env_seed!r}") from None
-    discs = [int(x) for x in args.discs.split(",")] if args.discs else None
-    primes = [int(x) for x in args.primes.split(",")] if args.primes else None
+    discs = _parse_ints(args.discs, "--discs") if args.discs else None
+    for d in discs or ():
+        _require_discriminant(d)
+    primes = _parse_ints(args.primes, "--primes") if args.primes else None
+    for p in primes or ():
+        if p not in SUPPORTED_PRIMES:
+            raise InputError(f"--primes: {p} is not one of the supported primes "
+                             f"{', '.join(map(str, SUPPORTED_PRIMES))}")
     report = run_suite(args.suite, seed=seed, discs=discs, primes=primes)
     for line in report.lines(timings=args.timings):
         print(line)
@@ -294,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=("symbolic", "orbits", "composition", "ff", "all"))
     ver.add_argument("--seed", type=int, default=2024)
     ver.add_argument("--discs", "-D", help="comma-separated negative discriminants")
-    ver.add_argument("--primes", help="comma-separated primes <= 13")
+    ver.add_argument("--primes", help="comma-separated primes from 3, 5, 7, 11, 13")
     ver.add_argument("--timings", action="store_true", help="append elapsed times")
     ver.add_argument("--conventions", action="store_true",
                      help="print the frozen conventions and exit")

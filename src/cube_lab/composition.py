@@ -27,6 +27,9 @@ from .quadforms import (
     _require_discriminant,
     _require_reducible,
     class_group,
+    compose_dirichlet,
+    principal_form,
+    reduce,
 )
 
 Element = tuple[int, int]  # u + v*tau
@@ -195,29 +198,39 @@ def third_form(cube: Cube) -> BQF:
     return cube.forms()[2]
 
 
+def _positive(q: BQF) -> BQF:
+    """A negative-definite (p, m, r) stands for the class of (-p, m, -r),
+    the inverse of the class of its negation; see conventions item 8."""
+    return BQF(-q.a, q.b, -q.c) if q.is_negative_definite() else q
+
+
 def form_class_index(q: BQF, table: ClassGroupTable) -> int:
-    """Class index of a definite primitive form; a negative-definite
-    (p, m, r) is assigned the class of (-p, m, -r), i.e. the inverse of the
-    class of its negation."""
-    if q.is_negative_definite():
-        q = BQF(-q.a, q.b, -q.c)
-    return table.index(q)
+    """Class index of a definite primitive form, negative-definite forms
+    assigned as in `_positive`."""
+    return table.index(_positive(q))
+
+
+def triple_law_holds(q1: BQF, q2: BQF, q3: BQF) -> bool:
+    """[q1][q2][q3] = identity for three definite primitive forms of one
+    negative discriminant, by Dirichlet composition and reduction; no class
+    group is built."""
+    q1, q2, q3 = (_positive(q) for q in (q1, q2, q3))
+    composed = compose_dirichlet(compose_dirichlet(q1, q2), q3)
+    return reduce(composed)[0] == principal_form(int(q1.discriminant()))
 
 
 def verify_triple_law(cube: Cube, table: ClassGroupTable | None = None) -> bool:
-    """[q1][q2][q3] = identity for the three slicing forms of the cube."""
+    """[q1][q2][q3] = identity for the three slicing forms of the cube.  A
+    passed `table` is checked for its discriminant only."""
     D = cube.hyperdet()
     if not cube.is_integral() or D >= 0:
         raise UnsupportedInputError("need an integral cube of negative discriminant")
     forms = cube.forms()
     if any(not f.is_primitive() for f in forms):
         raise UnsupportedInputError("slicing forms are not all primitive")
-    if table is None:
-        table = class_group(int(D))
-    elif table.D != D:
+    if table is not None and table.D != D:
         raise InputError("class group table has the wrong discriminant")
-    idx = [form_class_index(f, table) for f in forms]
-    return table.compose(table.compose(idx[0], idx[1]), idx[2]) == table.identity
+    return triple_law_holds(*forms)
 
 
 def compose_via_cube(q1: BQF, q2: BQF, table: ClassGroupTable | None = None) -> int:

@@ -228,8 +228,8 @@ class Cube:
             data = json.loads(text)
             b = data["b"]
             d = data["d"]
-            if len(b) != 3 or len(d) != 3:
-                raise ValueError("b and d must have three entries")
+            if not (isinstance(b, list) and isinstance(d, list) and len(b) == len(d) == 3):
+                raise ValueError("b and d must be lists of three entries")
             return Cube(data["a"], b[0], b[1], b[2], data["c"], d[0], d[1], d[2])
         except (KeyError, ValueError, TypeError) as exc:
             raise InputError(f"malformed cube JSON: {exc}") from exc

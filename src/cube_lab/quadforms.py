@@ -6,6 +6,11 @@ composition (via united representatives), and class-group enumeration.
 The composition code here is deliberately independent of the cube-based
 composition in :mod:`cube_lab.composition`; the two are checked against each
 other by the verification suite.
+
+Reduction and composition run on an integer core: int triples (a, b, c) and
+the witness as four ints (p, q, r, s) (Cohen, GTM 138, Alg. 5.4.2 and
+5.4.7).  `BQF` and `SL2`, with their `Fraction` coefficients, are built only
+at the public boundary.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ def _frac(x) -> Fraction:
     """The one path from an int, a Fraction or a 'p/q' string to a Fraction."""
     if isinstance(x, float):
         raise InputError("floating point input rejected; use int, Fraction or 'p/q' strings")
+    if x is True or x is False:
+        raise InputError("boolean input rejected; use int, Fraction or 'p/q' strings")
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:
@@ -169,13 +176,50 @@ def act(g: SL2, q: BQF) -> BQF:
     return BQF(*form_sub(q.coefficients(), g.rows()))
 
 
-def _require_reducible(q: BQF) -> None:
-    if not q.is_integral() or not q.is_primitive():
+def _require_reducible(q: BQF) -> tuple[int, int, int]:
+    """The coefficients of an integral primitive positive-definite form, as ints."""
+    if not q.is_integral():
         raise UnsupportedInputError(f"{q} is not an integral primitive form")
-    if q.discriminant() >= 0:
-        raise UnsupportedInputError(f"discriminant {q.discriminant()} is not negative")
-    if q.a <= 0:
+    a, b, c = q.a.numerator, q.b.numerator, q.c.numerator
+    if gcd(a, b, c) != 1:
+        raise UnsupportedInputError(f"{q} is not an integral primitive form")
+    if b * b - 4 * a * c >= 0:
+        raise UnsupportedInputError(f"discriminant {b * b - 4 * a * c} is not negative")
+    if a <= 0:
         raise UnsupportedInputError(f"{q} is not positive definite")
+    return a, b, c
+
+
+def _reduce(f, witness: bool = True):
+    """Reduce the positive-definite int triple f; returns the reduced triple
+    and, if `witness`, the int matrix (p, q, r, s) with form_sub(f, g) equal
+    to it, checked before it is returned; otherwise None."""
+    a, b, c = f
+    p, q, r, s = 1, 0, 0, 1
+    while True:
+        if abs(b) > a:
+            # shift b into (-a, a]: b -> b + 2ta via (1,0;t,1)
+            t = (a - b) // (2 * a)
+            b, c = b + 2 * t * a, a * t * t + b * t + c
+            r, s = r + t * p, s + t * q
+        elif a > c:
+            # (0,1;-1,0): (a, b, c) -> (c, -b, a)
+            a, b, c = c, -b, a
+            p, q, r, s = r, s, -p, -q
+        else:
+            break
+    if b < 0 and -b == a:
+        # (1,0;1,1): b -> b + 2a = a, c -> a + b + c = c
+        b = a
+        r, s = r + p, s + q
+    elif b < 0 and a == c:
+        b = -b
+        p, q, r, s = r, s, -p, -q
+    if not witness:
+        return (a, b, c), None
+    if form_sub(f, ((p, q), (r, s))) != (a, b, c):
+        raise InternalError("reduction witness failed")
+    return (a, b, c), (p, q, r, s)
 
 
 def reduce(q: BQF) -> tuple[BQF, SL2]:
@@ -183,35 +227,8 @@ def reduce(q: BQF) -> tuple[BQF, SL2]:
 
     Reduced means |b| <= a <= c, with b >= 0 whenever |b| = a or a = c.
     """
-    _require_reducible(q)
-    g = SL2.identity()
-    cur = q
-    swap = SL2(0, 1, -1, 0)  # (a, b, c) -> (c, -b, a)
-    while True:
-        a, b, c = cur.a, cur.b, cur.c
-        if abs(b) > a:
-            # shift b into (-a, a]: b -> b + 2ra via (1,0;r,1)
-            r = (a - b) // (2 * a)
-            t = SL2(1, 0, r, 1)
-            cur = act(t, cur)
-            g = t * g
-            continue
-        if a > c:
-            cur = act(swap, cur)
-            g = swap * g
-            continue
-        break
-    a, b, c = cur.a, cur.b, cur.c
-    if b < 0 and (-b == a or a == c):
-        if -b == a:
-            t = SL2(1, 0, 1, 1)  # b -> b + 2a = a
-        else:
-            t = swap  # a == c: swap negates b
-        cur = act(t, cur)
-        g = t * g
-    if act(g, q) != cur:
-        raise InternalError("reduction witness failed")
-    return cur, g
+    red, g = _reduce(_require_reducible(q))
+    return BQF(*red), SL2(*g)
 
 
 def is_reduced(q: BQF) -> bool:
@@ -226,7 +243,8 @@ def is_reduced(q: BQF) -> bool:
 def is_equivalent(q1: BQF, q2: BQF) -> bool:
     if q1.discriminant() != q2.discriminant():
         return False
-    return reduce(q1)[0] == reduce(q2)[0]
+    return (_reduce(_require_reducible(q1), witness=False)[0]
+            == _reduce(_require_reducible(q2), witness=False)[0])
 
 
 # -- Dirichlet composition ---------------------------------------------------
@@ -241,27 +259,27 @@ def _crt(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     return (r1 + m1 * t) % l, l
 
 
-def _coprime_representative(q: BQF, n: int) -> BQF:
-    """A form equivalent to q whose leading coefficient is coprime to n."""
-    if gcd(int(q.a), n) == 1:
-        return q
+def _coprime_representative(f, n: int):
+    """An int triple equivalent to f whose leading coefficient is coprime to n."""
+    a, b, c = f
+    if gcd(a, n) == 1:
+        return f
     bound = 1
     while bound < 64:
         for x in range(-bound, bound + 1):
             for y in range(-bound, bound + 1):
                 if gcd(x, y) != 1:
                     continue
-                value = q(x, y)
-                if value > 0 and gcd(int(value), n) == 1:
+                value = a * x * x + b * x * y + c * y * y
+                if value > 0 and gcd(value, n) == 1:
                     # complete the coprime pair (x, y) to an SL2 first row
                     u, v = _bezout(x, y)
-                    g = SL2(x, y, -v, u)
-                    out = act(g, q)
-                    if out.a != value:
+                    out = form_sub(f, ((x, y), (-v, u)))
+                    if out[0] != value:
                         raise InternalError("representative construction failed")
                     return out
         bound *= 2
-    raise InternalError(f"no value of {q} coprime to {n} found")
+    raise InternalError(f"no value of {BQF(*f)} coprime to {n} found")
 
 
 def _bezout(x: int, y: int) -> tuple[int, int]:
@@ -279,22 +297,27 @@ def _bezout(x: int, y: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-def compose_dirichlet(q1: BQF, q2: BQF) -> BQF:
-    """Gauss composition through united (concordant) representatives."""
-    _require_reducible(q1)
-    _require_reducible(q2)
-    if q1.discriminant() != q2.discriminant():
-        raise InputError("discriminant mismatch")
-    D = int(q1.discriminant())
-    a1 = int(q1.a)
-    q2p = _coprime_representative(q2, a1)
-    a2 = int(q2p.a)
+def _compose(f1, f2):
+    """Dirichlet composition of two positive-definite int triples of one
+    discriminant, through united representatives."""
+    a1, b1, c1 = f1
+    D = b1 * b1 - 4 * a1 * c1
+    a2, b2, _ = _coprime_representative(f2, a1)
     # middle coefficient congruent to b1 mod 2a1 and to b2' mod 2a2
-    B, _ = _crt(int(q1.b), 2 * a1, int(q2p.b), 2 * a2)
+    B, _ = _crt(b1, 2 * a1, b2, 2 * a2)
     num = B * B - D
     if num % (4 * a1 * a2) != 0:
         raise InternalError("united middle coefficient is not concordant")
-    return BQF(a1 * a2, B, num // (4 * a1 * a2))
+    return (a1 * a2, B, num // (4 * a1 * a2))
+
+
+def compose_dirichlet(q1: BQF, q2: BQF) -> BQF:
+    """Gauss composition through united (concordant) representatives."""
+    f1 = _require_reducible(q1)
+    f2 = _require_reducible(q2)
+    if q1.discriminant() != q2.discriminant():
+        raise InputError("discriminant mismatch")
+    return BQF(*_compose(f1, f2))
 
 
 def _require_discriminant(D: int) -> None:
@@ -340,13 +363,14 @@ class ClassGroupTable:
     def __init__(self, D: int):
         self.D = D
         self.forms = reduced_forms(D)
-        self._index = {f.coefficients(): i for i, f in enumerate(self.forms)}
+        triples = [_require_reducible(f) for f in self.forms]
+        self._index = {f: i for i, f in enumerate(triples)}
         self.identity = self.index(principal_form(D))
-        n = len(self.forms)
+        n = len(triples)
         self.table = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                k = self.index(compose_dirichlet(self.forms[i], self.forms[j]))
+                k = self._index[_reduce(_compose(triples[i], triples[j]), witness=False)[0]]
                 self.table[i][j] = k
                 self.table[j][i] = k
 
@@ -355,9 +379,9 @@ class ClassGroupTable:
         return len(self.forms)
 
     def index(self, q: BQF) -> int:
-        red = reduce(q)[0]
+        red = _reduce(_require_reducible(q), witness=False)[0]
         try:
-            return self._index[red.coefficients()]
+            return self._index[red]
         except KeyError:
             raise InputError(
                 f"{q} does not reduce into the class group of discriminant {self.D}"

@@ -169,6 +169,37 @@ def test_non_numeric_form_coefficient_exits_2(capsys):
     assert code == 2 and out == "" and "error:" in err
 
 
+def test_json_bool_entry_exits_2(capsys):
+    # bool is an int in Python; a JSON true must not be read as the rational 1
+    code, out, err = run(capsys, "cube", "det",
+                         "--cube", '{"a":true,"b":["0","0","0"],"c":"1","d":["0","0","0"]}')
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_cube_json_string_slots_exit_2(capsys):
+    # a three-character string is not a list of three entries
+    code, out, err = run(capsys, "cube", "det",
+                         "--cube", '{"a":"1","b":"000","c":"1","d":"000"}')
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_verify_composite_prime_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "ff", "--primes", "4")
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_verify_unsupported_prime_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "ff", "--primes", "3,2")
+    assert code == 2 and out == "" and "error:" in err
+
+
+def test_verify_non_integer_discriminant_exits_2(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "composition", "--discs", "x")
+    assert code == 2 and out == "" and "error:" in err
+    code, out, err = run(capsys, "verify", "--suite", "composition", "--discs", "-23,5")
+    assert code == 2 and out == "" and "error:" in err
+
+
 def test_verify_symbolic_deterministic(capsys):
     code1, out1, _ = run(capsys, "verify", "--suite", "symbolic", "--seed", "7")
     code2, out2, _ = run(capsys, "verify", "--suite", "symbolic", "--seed", "7")

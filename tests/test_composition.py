@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cube_lab.composition import (
     OrientedIdeal,
@@ -13,11 +14,21 @@ from cube_lab.composition import (
     ideal_to_form,
     random_primitive_cube,
     third_form,
+    triple_law_holds,
     verify_triple_law,
 )
 from cube_lab.cubes import GHZ, Cube, kostant_cube
 from cube_lab.errors import InputError, UnsupportedInputError
-from cube_lab.quadforms import BQF, class_group, compose_dirichlet, is_equivalent
+from cube_lab.quadforms import (
+    BQF,
+    SL2,
+    act,
+    class_group,
+    compose_dirichlet,
+    is_equivalent,
+    principal_form,
+    random_sl2z,
+)
 from cube_lab.variants import embed_cubic, kostant_cubic, resolvent
 
 rng = random.Random(101)
@@ -173,3 +184,53 @@ def test_verify_triple_law_rejects():
         verify_triple_law(Cube(2, 0, 0, 0, 2, 2, 2, 2))  # imprimitive forms
     with pytest.raises(InputError):
         verify_triple_law(kostant_cube(-6), class_group(-23))  # wrong table
+
+
+# -- the table-free triple law against the class-group table -----------------
+
+TRIPLE_DISCRIMINANTS = (-23, -47, -48, -63, -71, -84, -231)
+
+
+def law_by_table(forms) -> bool:
+    """[q1][q2][q3] = 1 read off the full class-group table."""
+    table = class_group(int(forms[0].discriminant()))
+    i, j, k = (form_class_index(f, table) for f in forms)
+    return table.compose(table.compose(i, j), k) == table.identity
+
+
+@st.composite
+def definite_triples(draw):
+    """Three definite forms of one discriminant: random classes, moved by
+    SL2(Z), each negated (negative definite) or not."""
+    D = draw(st.sampled_from(TRIPLE_DISCRIMINANTS))
+    forms = class_group(D).forms
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    out = []
+    for _ in range(3):
+        q = act(random_sl2z(rng), forms[draw(st.integers(0, len(forms) - 1))])
+        out.append(-q if draw(st.booleans()) else q)
+    return out
+
+
+@given(definite_triples())
+@settings(max_examples=150, deadline=None)
+def test_triple_law_holds_matches_table(forms):
+    assert triple_law_holds(*forms) == law_by_table(forms)
+
+
+@given(st.integers(0, 2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_verify_triple_law_matches_table_on_cubes(seed):
+    cube = random_primitive_cube(random.Random(seed))
+    assert verify_triple_law(cube) is True
+    assert law_by_table(cube.forms()) is True
+
+
+def test_triple_law_fails_off_the_identity():
+    # (2, 1, 3) has order 3 in Cl(-23), so [q][q][1] = [q]^2 is not 1
+    q = BQF(2, 1, 3)
+    assert not triple_law_holds(q, q, principal_form(-23))
+    assert not law_by_table((q, q, principal_form(-23)))
+    assert triple_law_holds(q, q, q)
+    # (2, -1, 3) is the inverse; a negated principal form is the identity
+    assert triple_law_holds(q, act(SL2(1, 1, 0, 1), BQF(2, -1, 3)), -principal_form(-23))

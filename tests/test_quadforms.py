@@ -1,13 +1,17 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cube_lab.errors import InputError, UnsupportedInputError
+from cube_lab.errors import InputError, InternalError, UnsupportedInputError
 from cube_lab.quadforms import (
     BQF,
     SL2,
+    _bezout,
+    _crt,
+    _require_reducible,
     act,
     class_group,
     compose_dirichlet,
@@ -215,3 +219,121 @@ def test_form_sub_matches_evaluation(q, g, x, y):
     image = BQF(*form_sub(q, ((p, q_), (r, s))))
     # q(v.g) at the row vector v = (x, y): v.g = (px + ry, qx + sy)
     assert image(x, y) == BQF(*q)(p * x + r * y, q_ * x + s * y)
+
+
+# -- the integer core against the Fraction reduction and composition it
+# replaced, kept here as test-only references -------------------------------
+
+def reference_reduce(q: BQF) -> tuple[BQF, SL2]:
+    _require_reducible(q)
+    g = SL2.identity()
+    cur = q
+    swap = SL2(0, 1, -1, 0)  # (a, b, c) -> (c, -b, a)
+    while True:
+        a, b, c = cur.a, cur.b, cur.c
+        if abs(b) > a:
+            r = (a - b) // (2 * a)
+            t = SL2(1, 0, r, 1)
+            cur = act(t, cur)
+            g = t * g
+            continue
+        if a > c:
+            cur = act(swap, cur)
+            g = swap * g
+            continue
+        break
+    a, b, c = cur.a, cur.b, cur.c
+    if b < 0 and (-b == a or a == c):
+        t = SL2(1, 0, 1, 1) if -b == a else swap
+        cur = act(t, cur)
+        g = t * g
+    if act(g, q) != cur:
+        raise InternalError("reduction witness failed")
+    return cur, g
+
+
+def reference_coprime_representative(q: BQF, n: int) -> BQF:
+    if gcd(int(q.a), n) == 1:
+        return q
+    bound = 1
+    while bound < 64:
+        for x in range(-bound, bound + 1):
+            for y in range(-bound, bound + 1):
+                if gcd(x, y) != 1:
+                    continue
+                value = q(x, y)
+                if value > 0 and gcd(int(value), n) == 1:
+                    u, v = _bezout(x, y)
+                    out = act(SL2(x, y, -v, u), q)
+                    assert out.a == value
+                    return out
+        bound *= 2
+    raise InternalError(f"no value of {q} coprime to {n} found")
+
+
+def reference_compose_dirichlet(q1: BQF, q2: BQF) -> BQF:
+    _require_reducible(q1)
+    _require_reducible(q2)
+    if q1.discriminant() != q2.discriminant():
+        raise InputError("discriminant mismatch")
+    D = int(q1.discriminant())
+    a1 = int(q1.a)
+    q2p = reference_coprime_representative(q2, a1)
+    a2 = int(q2p.a)
+    B, _ = _crt(int(q1.b), 2 * a1, int(q2p.b), 2 * a2)
+    num = B * B - D
+    assert num % (4 * a1 * a2) == 0
+    return BQF(a1 * a2, B, num // (4 * a1 * a2))
+
+
+# fundamental and non-fundamental, with class numbers 1 to 16
+DISCRIMINANTS = (-3, -4, -23, -48, -63, -71, -84, -231, -1007)
+
+words = st.lists(st.tuples(st.booleans(), st.integers(-5, 5)), max_size=6)
+
+
+def word_to_sl2(word) -> SL2:
+    g = SL2.identity()
+    for upper, t in word:
+        g = g * (SL2(1, t, 0, 1) if upper else SL2(1, 0, t, 1))
+    return g
+
+
+@st.composite
+def forms_of(draw, D):
+    """An SL2(Z) translate of a reduced form of discriminant D."""
+    reduced = reduced_forms(D)
+    f = reduced[draw(st.integers(0, len(reduced) - 1))]
+    return act(word_to_sl2(draw(words)), f)
+
+
+small_forms = st.builds(
+    BQF, st.integers(1, 30), st.integers(-30, 30), st.integers(1, 30)
+).filter(lambda q: q.discriminant() < 0 and q.is_primitive())
+
+any_form = st.one_of(st.sampled_from(DISCRIMINANTS).flatmap(forms_of), small_forms)
+
+
+@given(any_form)
+@settings(max_examples=200, deadline=None)
+def test_int_reduce_matches_fraction_reference(q):
+    red, g = reduce(q)
+    ref_red, ref_g = reference_reduce(q)
+    assert red == ref_red and g == ref_g
+    assert is_reduced(red) and act(g, q) == red
+
+
+@given(st.sampled_from(DISCRIMINANTS).flatmap(lambda D: st.tuples(forms_of(D), forms_of(D))))
+@settings(max_examples=200, deadline=None)
+def test_int_compose_matches_fraction_reference(pair):
+    q1, q2 = pair
+    assert compose_dirichlet(q1, q2) == reference_compose_dirichlet(q1, q2)
+
+
+def test_class_group_table_matches_fraction_reference():
+    for D in (-23, -48, -84, -231):
+        table = class_group(D)
+        for i, f1 in enumerate(table.forms):
+            for j, f2 in enumerate(table.forms):
+                expected = table.forms.index(reference_reduce(reference_compose_dirichlet(f1, f2))[0])
+                assert table.compose(i, j) == expected
