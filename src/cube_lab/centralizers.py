@@ -10,8 +10,10 @@ nonsquare are the norm-one tori of the quadratic extension, and the fiber at
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Optional
 
 from .conventions import DIAG_IMAGE_LAST_SIGN, DIAG_TRIPLE_FACTOR_DET
@@ -214,8 +216,9 @@ def diagonalize_kostant() -> tuple[SymbolicReport, list]:
 
 # -- finite-field brute force --------------------------------------------------
 
-def sl2_fp(p: int) -> list[tuple[int, int, int, int]]:
-    """All of SL2(F_p) as entry tuples (a, b, c, d)."""
+@cache
+def sl2_fp(p: int) -> tuple[tuple[int, int, int, int], ...]:
+    """All of SL2(F_p) as entry tuples (a, b, c, d), built once per prime."""
     out = []
     for a in range(p):
         for b in range(p):
@@ -227,7 +230,7 @@ def sl2_fp(p: int) -> list[tuple[int, int, int, int]]:
                     # a = 0: need -bc = 1
                     if (-b * c) % p == 1:
                         out.extend((0, b, c, d) for d in range(p))
-    return out
+    return tuple(out)
 
 
 def binary_form_sub_fp(coeffs, g, p):
@@ -254,54 +257,15 @@ def binary_form_sub_fp(coeffs, g, p):
     return tuple(x % p for x in out)
 
 
-def _solve_fp(rows, rhs, p):
-    """Solutions of rows . x = rhs (x in F_p^2) as (particular, basis) or None."""
-    m = [[r[0] % p, r[1] % p, t % p] for r, t in zip(rows, rhs)]
-    pivots = []
-    rank = 0
-    for col in (0, 1):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [v * inv % p for v in m[rank]]
-        for i in range(len(m)):
-            if i != rank and m[i][col]:
-                f = m[i][col]
-                m[i] = [(v - f * w) % p for v, w in zip(m[i], m[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(m)):
-        if m[i][2]:
-            return None
-    x = [0, 0]
-    for i, col in enumerate(pivots):
-        x[col] = m[i][2]
-    free = [c for c in (0, 1) if c not in pivots]
-    basis = []
-    for c in free:
-        v = [0, 0]
-        v[c] = 1
-        for i, col in enumerate(pivots):
-            v[col] = (-m[i][c]) % p
-        basis.append(v)
-    return x, basis
+def stabilizer_bruteforce_fp(p: int, cube) -> int:
+    """Count the SL2(F_p)^3 triples fixing a cube.
 
-
-def _third_factor_pairs(entries):
-    """Entry pairs transformed jointly by the third factor: (u, v) -> (u, v).g."""
-    a, b1, b2, b3, c, d1, d2, d3 = entries
-    return ((a, b3), (b1, d2), (b2, d1), (d3, c))
-
-
-def stabilizer_bruteforce_fp(p: int, cube, collect: bool = False):
-    """Count (and optionally list) the SL2(F_p)^3 triples fixing a cube.
-
-    The first two factors only range over the stabilizers of the attached
-    quadratic forms (a triple fixing the cube must fix each form), and the
-    third factor is then solved for linearly.  Accepts a Cube with integer
-    entries or a plain sequence of eight integers.
+    A triple fixing the cube fixes each attached form, so factor i only
+    ranges over the stabilizer S_i of form i.  The factors act on separate
+    tensor indices, so (g1, g2, g3) fixes C exactly when (g1, g2, 1).C =
+    (1, 1, g3^-1).C; as S_3 is a group, g3^-1 runs over S_3 with g3, and
+    the count matches the images of the two halves.  Accepts a Cube with
+    integer entries or a plain sequence of eight integers.
     """
     if p > 13:
         raise InputError("p capped at 13 for the brute-force oracle")
@@ -311,61 +275,23 @@ def stabilizer_bruteforce_fp(p: int, cube, collect: bool = False):
         cube = [int(x) for x in cube.entries()]
     entries = tuple(x % p for x in cube)
     group = sl2_fp(p)
-    # factor i acts on form i as act(g_i^T, .) (conventions item 3)
-    transposed = [((a, c), (b, d)) for a, b, c, d in group]
-    cands = []
-    for q in forms_entries(entries)[:2]:
+    stabs = []
+    for q in forms_entries(entries):
         q = tuple(x % p for x in q)
-        cands.append([])
-        for g, gt in zip(group, transposed):
-            a, b, c = form_sub(q, gt)
-            if (a % p, b % p, c % p) == q:
-                cands[-1].append(g)
-    target = _third_factor_pairs(entries)
-    t1 = [pair[0] for pair in target]
-    t2 = [pair[1] for pair in target]
-    count = 0
-    found = []
-    for g1 in cands[0]:
-        m1 = ((g1[0], g1[1]), (g1[2], g1[3]))
-        for g2 in cands[1]:
-            m2 = ((g2[0], g2[1]), (g2[2], g2[3]))
-            ident = ((1, 0), (0, 1))
-            moved = tuple(x % p for x in act_entries((m1, m2, ident), entries))
-            rows = _third_factor_pairs(moved)
-            sol1 = _solve_fp(rows, t1, p)
-            if sol1 is None:
-                continue
-            sol2 = _solve_fp(rows, t2, p)
-            if sol2 is None:
-                continue
-            (x0, basis1), (y0, basis2) = sol1, sol2
-            for c1 in _affine_points(x0, basis1, p):
-                for c2 in _affine_points(y0, basis2, p):
-                    # g3 = (P, Q; R, S) with column (P, R) = c1, (Q, S) = c2
-                    P, R = c1
-                    Q, S = c2
-                    if (P * S - Q * R) % p == 1:
-                        count += 1
-                        if collect:
-                            found.append((g1, g2, (P, Q, R, S)))
-    return (count, found) if collect else count
+        stabs.append([])
+        for a, b, c, d in group:
+            # factor i acts on form i as act(g_i^T, .) (conventions item 3)
+            u, v, w = form_sub(q, ((a, c), (b, d)))
+            if (u % p, v % p, w % p) == q:
+                stabs[-1].append(((a, b), (c, d)))
+    s1, s2, s3 = stabs
+    one = ((1, 0), (0, 1))
 
+    def moved(gs):
+        return tuple(x % p for x in act_entries(gs, entries))
 
-def _affine_points(x0, basis, p):
-    if not basis:
-        yield tuple(x0)
-        return
-    if len(basis) == 1:
-        for t in range(p):
-            yield ((x0[0] + t * basis[0][0]) % p, (x0[1] + t * basis[0][1]) % p)
-        return
-    for t in range(p):
-        for u in range(p):
-            yield (
-                (x0[0] + t * basis[0][0] + u * basis[1][0]) % p,
-                (x0[1] + t * basis[0][1] + u * basis[1][1]) % p,
-            )
+    third = Counter(moved((one, one, g3)) for g3 in s3)
+    return sum(third[moved((g1, g2, one))] for g1 in s1 for g2 in s2)
 
 
 def cubic_stab_bruteforce_fp(p: int, cubic_coeffs) -> int:

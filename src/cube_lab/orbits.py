@@ -28,13 +28,9 @@ class OrbitClass(enum.Enum):
 
 
 def flattening_matrices(cube: Cube):
-    """The three 2x4 flattenings of the tensor, one per factor."""
-    a, b1, b2, b3, c, d1, d2, d3 = cube.entries()
-    return (
-        ((a, b3, b2, d1), (b1, d2, d3, c)),
-        ((a, b3, b1, d2), (b2, d1, d3, c)),
-        ((a, b2, b1, d3), (b3, d1, d2, c)),
-    )
+    """The three 2x4 flattenings of the tensor, one per factor: row j of
+    flattening i is slice matrix j of slicing i, read row by row."""
+    return tuple((m[0] + m[1], n[0] + n[1]) for m, n in cube.slices())
 
 
 def _rank_2x4(rows) -> int:

@@ -26,6 +26,8 @@ from .ring import format_terms
 
 def _frac(x) -> Fraction:
     """The one path from an int, a Fraction or a 'p/q' string to a Fraction."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise InputError("floating point input rejected; use int, Fraction or 'p/q' strings")
     if x is True or x is False:
@@ -416,15 +418,16 @@ def class_group(D: int) -> ClassGroupTable:
 
 
 def random_sl2z(rng, length: int = 4, tmax: int = 3) -> SL2:
-    """Random integral SL2 element: a short word in elementary matrices."""
-    g = SL2.identity()
+    """Random integral SL2 element: a short word in elementary matrices,
+    multiplied out on ints."""
+    p, q, r, s = 1, 0, 0, 1
     for _ in range(length):
         t = rng.randint(-tmax, tmax)
         if rng.random() < 0.5:
-            g = g * SL2(1, t, 0, 1)
+            q, s = q + p * t, s + r * t  # times (1, t; 0, 1)
         else:
-            g = g * SL2(1, 0, t, 1)
-    return g
+            p, r = p + q * t, r + s * t  # times (1, 0; t, 1)
+    return SL2(p, q, r, s)
 
 
 def parse_form(text: str) -> BQF:

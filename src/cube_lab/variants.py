@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .cubes import Cube, embed_cubic_entries, embed_pair_entries, rank_one_entries
+from .cubes import (
+    Cube, embed_cubic_entries, embed_pair_entries, forms_entries, rank_one_entries,
+)
 from .errors import InputError, UnsupportedInputError
 from .quadforms import BQF, _frac
 from .ring import LaurentRing, format_terms
@@ -176,9 +179,11 @@ def embed_pair(pair: FormPair) -> Cube:
 
 # -- finite-field quartic stabilizers vs 2-torsion point counts ---------------
 
-def pgl2_fp(p: int) -> list[tuple[int, int, int, int]]:
-    """Representatives of PGL2(F_p): SL2 mod +-1, plus the coset twisted by
-    diag(n0, 1) for a nonsquare n0.  |PGL2(F_p)| = p(p^2 - 1)."""
+@cache
+def pgl2_fp(p: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Representatives of PGL2(F_p), built once per prime: SL2 mod +-1, plus
+    the coset twisted by diag(n0, 1) for a nonsquare n0.
+    |PGL2(F_p)| = p(p^2 - 1)."""
     n0 = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1)
     reps = []
     seen = set()
@@ -189,7 +194,7 @@ def pgl2_fp(p: int) -> list[tuple[int, int, int, int]]:
         seen.add(g)
         reps.append(g)
         reps.append((g[0] * n0 % p, g[1], g[2] * n0 % p, g[3]))
-    return reps
+    return tuple(reps)
 
 
 def quartic_stab_count_fp(p: int, d: int, e: int) -> int:
@@ -341,15 +346,9 @@ def spherical_diag_check(type_letter: str, rank: int, j: int) -> bool:
 # -- component containment -----------------------------------------------------
 
 def _six_equations(e):
-    a, b1, b2, b3, c, d1, d2, d3 = e
-    return (
-        a * d1 - b2 * b3,
-        a * d2 - b1 * b3,
-        a * d3 - b2 * b1,
-        a * c + b1 * d1 - b2 * d2 - b3 * d3,
-        a * c + b2 * d2 - b1 * d1 - b3 * d3,
-        a * c + b3 * d3 - b1 * d1 - b2 * d2,
-    )
+    """The x^2 and xy coefficients of the three forms: (A1, A2, A3, B1, B2, B3)."""
+    forms = forms_entries(e)
+    return tuple(f[0] for f in forms) + tuple(f[1] for f in forms)
 
 
 def _ten_generators(e):

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cube_lab.centralizers import (
     JElement,
@@ -23,9 +24,10 @@ from cube_lab.centralizers import (
     verify_centralizer_homomorphism,
     verify_stab_kostant,
 )
-from cube_lab.cubes import Cube, kostant_cube
+from cube_lab.cubes import Cube, act_entries, kostant_cube, rank_one_entries
 from cube_lab.errors import InputError
 from cube_lab.quadforms import SL2
+from cube_lab.variants import pgl2_fp
 
 rng = random.Random(3)
 
@@ -209,6 +211,13 @@ def test_sl2_fp_sizes():
         assert len(sl2_fp(p)) == p * (p * p - 1)
 
 
+def test_finite_groups_built_once_per_prime():
+    for build in (sl2_fp, pgl2_fp):
+        for p in (5, 7):
+            assert build(p) is build(p)
+            assert isinstance(build(p), tuple)
+
+
 def test_stabilizer_counts_small_primes():
     for p in (3, 5):
         split = next(y for y in range(1, p) if is_split_fiber(p, y))
@@ -223,11 +232,25 @@ def test_stabilizer_zero_cube():
     assert stabilizer_bruteforce_fp(3, [0] * 8) == 24 ** 3
 
 
-def test_stabilizer_collect_yields_triples():
-    count, triples = stabilizer_bruteforce_fp(3, [int(v) for v in kostant_cube(1).entries()],
-                                              collect=True)
-    assert count == 4 and len(triples) == 4
-    assert (( (1,0,0,1), (1,0,0,1), (1,0,0,1) )) in triples
+_SL2_F3 = [((a, b), (c, d)) for a, b, c, d in product(range(3), repeat=4)
+           if (a * d - b * c) % 3 == 1]
+# weighted towards zero, so that zero and degenerate cubes occur often
+_ENTRY_MOD3 = st.sampled_from((0, 0, 0, 1, 2, -1, 4))
+_PAIR_MOD3 = st.tuples(_ENTRY_MOD3, _ENTRY_MOD3)
+
+
+@given(st.one_of(
+    st.lists(_ENTRY_MOD3, min_size=8, max_size=8),
+    st.builds(lambda u, v, w: list(rank_one_entries(u, v, w)), _PAIR_MOD3, _PAIR_MOD3, _PAIR_MOD3),
+))
+@example([0, 0, 0, 0, 0, 1, 0, 1])  # forms 1 and 3 vanish, form 2 is -y^2: S_2 != S_3
+@settings(max_examples=15, deadline=None)
+def test_stabilizer_matches_full_search_mod3(cube):
+    # every one of the 24^3 triples of SL2(F_3)^3, tested on the whole cube
+    target = [x % 3 for x in cube]
+    expected = sum(1 for gs in product(_SL2_F3, repeat=3)
+                   if [x % 3 for x in act_entries(gs, target)] == target)
+    assert stabilizer_bruteforce_fp(3, cube) == expected
 
 
 def test_stabilizer_prime_cap():
