@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.  All values
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 internal
+error (a library self-check failed; a bug, not a bad input).  All values
 are exact rationals serialized as "p/q" strings; nothing is ever printed in
 floating point.  Output is byte-for-byte deterministic given the same inputs
 and seed (timings are opt-in via --timings).
@@ -16,7 +17,7 @@ import sys
 from . import composition, orbits, variants
 from .conventions import conventions_text
 from .cubes import Cube, kostant_cube
-from .errors import InputError
+from .errors import InputError, InternalError
 from .quadforms import (
     SL2,
     _frac,
@@ -135,13 +136,10 @@ def cmd_compose_cube(args) -> int:
     if args.D is not None and q2.discriminant() != args.D:
         raise InputError(f"--q2 has discriminant {q2.discriminant()}, not {args.D}")
     cube = composition.cube_from_forms(q1, q2)
-    table = class_group(int(q1.discriminant()))
-    third = composition.third_form(cube)
-    comp_idx = composition.compose_via_cube(q1, q2, table)
     _emit({
         "cube": cube.to_dict(),
-        "third_form": third.to_dict(),
-        "composition_class": table.forms[comp_idx].to_dict(),
+        "third_form": cube.forms()[2].to_dict(),
+        "composition_class": composition.compose_via_cube(q1, q2).to_dict(),
     })
     return 0
 
@@ -352,6 +350,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -19,14 +19,13 @@ from fractions import Fraction
 from math import gcd
 
 from .conventions import THIRD_FORM_IS_INVERSE
-from .cubes import Cube, entries_from_tensor
+from .cubes import Cube, entries_from_tensor, hyperdet_entries
 from .errors import InputError, InternalError, UnsupportedInputError
 from .quadforms import (
     BQF,
     ClassGroupTable,
     _require_discriminant,
     _require_reducible,
-    class_group,
     compose_dirichlet,
     principal_form,
     reduce,
@@ -97,42 +96,25 @@ def _hnf_rows(rows) -> tuple[Element, Element]:
 
 @dataclass(frozen=True)
 class OrientedIdeal:
-    """Fractional ideal lattice/den with a positively oriented basis."""
+    """Integral ideal lattice with a positively oriented basis."""
 
     order: QuadraticOrder
     basis: tuple[Element, Element]
-    den: int = 1
 
     def __post_init__(self):
-        w1, w2 = self.basis
-        if w1[0] * w2[1] - w1[1] * w2[0] <= 0:
+        if self.norm() <= 0:
             raise InputError("ideal basis must be positively oriented")
-        if self.den <= 0:
-            raise InputError("denominator must be positive")
 
-    def lattice_det(self) -> int:
+    def norm(self) -> int:
+        """Index of the lattice in the order: the basis determinant."""
         w1, w2 = self.basis
         return w1[0] * w2[1] - w1[1] * w2[0]
-
-    def norm(self) -> Fraction:
-        return Fraction(self.lattice_det(), self.den * self.den)
 
     def multiply(self, other: "OrientedIdeal") -> "OrientedIdeal":
         if self.order != other.order:
             raise InputError("ideals of different orders")
         prods = [self.order.mul(r1, r2) for r1 in self.basis for r2 in other.basis]
-        return OrientedIdeal(self.order, _hnf_rows(prods), self.den * other.den)
-
-    def conjugate(self) -> "OrientedIdeal":
-        return OrientedIdeal(
-            self.order, _hnf_rows([self.order.conj(r) for r in self.basis]), self.den
-        )
-
-    def inverse(self) -> "OrientedIdeal":
-        """Inverse of an invertible integral ideal: conj(I) / N(I)."""
-        if self.den != 1:
-            raise InputError("inverse implemented for integral ideals")
-        return OrientedIdeal(self.order, self.conjugate().basis, self.lattice_det())
+        return OrientedIdeal(self.order, _hnf_rows(prods))
 
 
 def form_to_ideal(q: BQF) -> OrientedIdeal:
@@ -144,14 +126,10 @@ def form_to_ideal(q: BQF) -> OrientedIdeal:
 
 
 def ideal_to_form(ideal: OrientedIdeal) -> BQF:
-    """Norm form of the oriented basis divided by the ideal norm.
-
-    The denominator of a fractional ideal cancels: N(x w1/d + y w2/d) over
-    N(I) equals N(x w1 + y w2) over the lattice determinant.
-    """
+    """Norm form of the oriented basis divided by the ideal norm."""
     order = ideal.order
     w1, w2 = ideal.basis
-    n = ideal.lattice_det()
+    n = ideal.norm()
     a = Fraction(order.norm(w1), n)
     c = Fraction(order.norm(w2), n)
     b = Fraction(order.trace(order.mul(w1, order.conj(w2))), n)
@@ -173,8 +151,8 @@ def cube_from_forms(q1: BQF, q2: BQF) -> Cube:
     i1 = form_to_ideal(q1)
     i2 = form_to_ideal(q2)
     j = i1.multiply(i2)
-    nj = j.lattice_det()
-    if Fraction(nj) != i1.norm() * i2.norm():
+    nj = j.norm()
+    if nj != i1.norm() * i2.norm():
         raise InternalError("product ideal norm is not multiplicative")
     # I3 = conj(J)/nj, balanced.  Conjugation reverses orientation, and the
     # class convention is pinned to this basis order: re-normalizing it to a
@@ -188,14 +166,10 @@ def cube_from_forms(q1: BQF, q2: BQF) -> Cube:
                 if prod[0] % nj or prod[1] % nj:
                     raise InternalError("triple product is not integral")
                 t[a][b][c] = prod[1] // nj
-    cube = Cube(*entries_from_tensor(t))
-    if cube.hyperdet() != order.D:
+    entries = entries_from_tensor(t)
+    if hyperdet_entries(entries) != order.D:
         raise InternalError("cube discriminant mismatch")
-    return cube
-
-
-def third_form(cube: Cube) -> BQF:
-    return cube.forms()[2]
+    return Cube(*entries)
 
 
 def _positive(q: BQF) -> BQF:
@@ -219,27 +193,25 @@ def triple_law_holds(q1: BQF, q2: BQF, q3: BQF) -> bool:
     return reduce(composed)[0] == principal_form(int(q1.discriminant()))
 
 
-def verify_triple_law(cube: Cube, table: ClassGroupTable | None = None) -> bool:
-    """[q1][q2][q3] = identity for the three slicing forms of the cube.  A
-    passed `table` is checked for its discriminant only."""
+def verify_triple_law(cube: Cube) -> bool:
+    """[q1][q2][q3] = identity for the three slicing forms of the cube."""
     D = cube.hyperdet()
     if not cube.is_integral() or D >= 0:
         raise UnsupportedInputError("need an integral cube of negative discriminant")
     forms = cube.forms()
     if any(not f.is_primitive() for f in forms):
         raise UnsupportedInputError("slicing forms are not all primitive")
-    if table is not None and table.D != D:
-        raise InputError("class group table has the wrong discriminant")
     return triple_law_holds(*forms)
 
 
-def compose_via_cube(q1: BQF, q2: BQF, table: ClassGroupTable | None = None) -> int:
-    """Class index of the composition of q1 and q2, computed by the cube
-    route: the third form's class is inverted per the frozen convention."""
-    if table is None:
-        table = class_group(int(q1.discriminant()))
-    k = form_class_index(third_form(cube_from_forms(q1, q2)), table)
-    return table.inverse(k) if THIRD_FORM_IS_INVERSE else k
+def compose_via_cube(q1: BQF, q2: BQF) -> BQF:
+    """Reduced form of the composition class of q1 and q2, computed by the
+    cube route with no class group: the third form's class is inverted per
+    the frozen convention."""
+    q3 = _positive(cube_from_forms(q1, q2).forms()[2])
+    if THIRD_FORM_IS_INVERSE:
+        q3 = BQF(q3.a, -q3.b, q3.c)
+    return reduce(q3)[0]
 
 
 def random_primitive_cube(rng: random.Random, bound: int = 4, max_tries: int = 10000) -> Cube:

@@ -241,10 +241,6 @@ class Cube:
         )
 
 
-def act(triple, cube: Cube) -> Cube:
-    return cube.transformed(triple)
-
-
 def kostant_entries(s, zero, one):
     """Entries (s, (0,0,0), 0, (1,1,1)) of the slice, over any ring with the
     given zero and one; its hyperdet is 4s."""

@@ -32,6 +32,9 @@ def _frac(x) -> Fraction:
         raise InputError("floating point input rejected; use int, Fraction or 'p/q' strings")
     if x is True or x is False:
         raise InputError("boolean input rejected; use int, Fraction or 'p/q' strings")
+    if isinstance(x, str) and ("e" in x or "E" in x):
+        # Fraction("1e99999999") would build 10**99999999 before any check
+        raise InputError(f"bad rational {x!r}: exponent notation rejected")
     try:
         return Fraction(x)
     except (ValueError, ZeroDivisionError) as exc:

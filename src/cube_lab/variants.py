@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .cubes import (
-    Cube, embed_cubic_entries, embed_pair_entries, forms_entries, rank_one_entries,
-)
+from .cubes import forms_entries, rank_one_entries
 from .errors import InputError, UnsupportedInputError
 from .quadforms import BQF, _frac
 from .ring import LaurentRing, format_terms
@@ -83,10 +81,6 @@ def resolvent(f: BinaryCubic) -> BQF:
     """(ac - b^2) x^2 + (ad - bc) xy + (bd - c^2) y^2; its discriminant
     equals the cubic discriminant."""
     return BQF(*resolvent_terms(*f.coefficients()))
-
-
-def embed_cubic(f: BinaryCubic) -> Cube:
-    return Cube(*embed_cubic_entries(*f.coefficients()))
 
 
 @dataclass(frozen=True)
@@ -171,10 +165,6 @@ def pair_disc(pair: FormPair) -> Fraction:
 def kostant_pair(s) -> FormPair:
     """The slice ((s/4) x^2 + y^2, 2xy); its discriminant is s exactly."""
     return FormPair(_frac(s) / 4, 0, 1, 0, 1, 0)
-
-
-def embed_pair(pair: FormPair) -> Cube:
-    return Cube(*embed_pair_entries(*pair.coefficients()))
 
 
 # -- finite-field quartic stabilizers vs 2-torsion point counts ---------------
@@ -271,12 +261,6 @@ def gram_slice(n: int, s) -> tuple[tuple, tuple]:
     for i in range(2, n):
         v2[i] = Fraction(1)
     return tuple(v1), tuple(v2)
-
-
-def gram_slice_invariant(n: int, s) -> Fraction:
-    """Gram determinant of the slice normalized by 4(j-1); equals s."""
-    j = n // 2
-    return gram_invariant_n(n, *gram_slice(n, s)) / (4 * (j - 1))
 
 
 # -- the 2x3x3 invariant -------------------------------------------------------

@@ -378,7 +378,7 @@ def make_cube_vs_dirichlet_check(d, group):
                 k3 = composition.form_class_index(f3, table)
                 expected = table.inverse(direct) if THIRD_FORM_IS_INVERSE else direct
                 assert k3 == expected, "third-form convention violated"
-                assert composition.verify_triple_law(cube, table), "triple law fails"
+                assert composition.verify_triple_law(cube), "triple law fails"
         return f"all {n * n} pairs agree with the Dirichlet oracle"
     return check
 

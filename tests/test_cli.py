@@ -1,6 +1,8 @@
 import json
 
+from cube_lab import composition
 from cube_lab.cli import main
+from cube_lab.errors import InternalError
 
 KOSTANT_1 = '{"a":"1","b":["0","0","0"],"c":"0","d":["1","1","1"]}'
 GHZ_JSON = '{"a":"1","b":["0","0","0"],"c":"1","d":["0","0","0"]}'
@@ -181,6 +183,27 @@ def test_cube_json_string_slots_exit_2(capsys):
     code, out, err = run(capsys, "cube", "det",
                          "--cube", '{"a":"1","b":"000","c":"1","d":"000"}')
     assert code == 2 and out == "" and "error:" in err
+
+
+def test_exponent_notation_exits_2(capsys):
+    # Fraction("1e99999999") would spend minutes expanding the power of ten
+    code, out, err = run(capsys, "cube", "det",
+                         "--cube", '{"a":"1e5","b":["0","0","0"],"c":"1","d":["0","0","0"]}')
+    assert code == 2 and out == "" and "error:" in err
+    code, out, _ = run(capsys, "cube", "det",
+                       "--cube", '{"a":"1.5","b":["0","0","0"],"c":"1","d":["0","0","0"]}')
+    assert code == 0 and out.strip() == "9/4"
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(q1, q2):
+        raise InternalError("triple product is not integral")
+
+    monkeypatch.setattr(composition, "cube_from_forms", broken)
+    code, out, err = run(capsys, "compose-cube", "--q1", "2,1,3", "--q2", "2,1,3")
+    assert code == 3 and out == ""
+    assert err == "internal error: triple product is not integral\n"
+    assert "Traceback" not in err
 
 
 def test_verify_composite_prime_exits_2(capsys):

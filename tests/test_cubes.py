@@ -9,7 +9,6 @@ from cube_lab.cubes import (
     GHZ,
     W,
     Cube,
-    act,
     act_entries,
     kostant_cube,
     rank_one_cube,
@@ -148,11 +147,6 @@ def test_json_round_trip():
 def test_floats_rejected():
     with pytest.raises(InputError):
         Cube(0.5, 0, 0, 0, 0, 0, 0, 0)
-
-
-def test_module_level_act_helper():
-    triple = (SL2.identity(), SL2(1, 1, 0, 1), SL2.identity())
-    assert act(triple, GHZ) == GHZ.transformed(triple)
 
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)

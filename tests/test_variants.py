@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cube_lab.cubes import Cube, kostant_cube
+from cube_lab.cubes import Cube, embed_cubic_entries, embed_pair_entries, kostant_cube
 from cube_lab.errors import InputError, UnsupportedInputError
 from cube_lab.quadforms import BQF, random_sl2z
 from cube_lab.variants import (
@@ -14,12 +14,9 @@ from cube_lab.variants import (
     cubic_disc,
     cubic_disc_general,
     e2_count_fp,
-    embed_cubic,
-    embed_pair,
     gram_invariant_n,
     gram_matrix_n,
     gram_slice,
-    gram_slice_invariant,
     invariant_233,
     kostant_cubic,
     kostant_pair,
@@ -34,7 +31,6 @@ from cube_lab.variants import (
 )
 
 rng = random.Random(77)
-
 
 def _act_cubic(g, f: BinaryCubic) -> BinaryCubic:
     # substitute (x, y) -> (x, y).g into the cubic, exactly
@@ -99,9 +95,10 @@ def test_kostant_cubic_shapes():
     assert cubic_disc(kostant_cubic(0)) == 0
     assert kostant_cubic(-4).plain() == (1, 0, 3, 0)       # x^3 + 3xy^2
     assert cubic_disc(kostant_cubic(-4)) == 4
-    assert embed_cubic(kostant_cubic(-4)) == kostant_cube(1)
+    assert Cube(*embed_cubic_entries(*kostant_cubic(-4).coefficients())) == kostant_cube(1)
     for s in (2, -6):
-        assert embed_cubic(kostant_cubic(s)) == kostant_cube(Fraction(-s, 4))
+        cube = Cube(*embed_cubic_entries(*kostant_cubic(s).coefficients()))
+        assert cube == kostant_cube(Fraction(-s, 4))
 
 
 def test_resolvent_values():
@@ -116,15 +113,15 @@ def test_resolvent_values():
 def test_resolvent_compatibilities():
     for _ in range(20):
         f = BinaryCubic(*(rng.randint(-4, 4) for _ in range(4)))
-        cube = embed_cubic(f)
+        cube = Cube(*embed_cubic_entries(*f.coefficients()))
         assert cube.hyperdet() == cubic_disc(f)
         assert all(q == resolvent(f) for q in cube.forms())
         assert resolvent(f).discriminant() == cubic_disc(f)
 
 
 def test_embed_cubic_examples():
-    assert embed_cubic(BinaryCubic(1, 0, 0, 0)) == Cube(1, 0, 0, 0, 0, 0, 0, 0)
-    assert embed_cubic(BinaryCubic(0, 0, 0, 0)) == Cube(0, 0, 0, 0, 0, 0, 0, 0)
+    assert Cube(*embed_cubic_entries(1, 0, 0, 0)) == Cube(1, 0, 0, 0, 0, 0, 0, 0)
+    assert Cube(*embed_cubic_entries(0, 0, 0, 0)) == Cube(0, 0, 0, 0, 0, 0, 0, 0)
 
 
 def test_binomial_conversion():
@@ -163,17 +160,18 @@ def test_pair_disc_values():
 
 def test_pair_embedding():
     for s in (0, 4, -8):
-        cube = embed_pair(kostant_pair(s))
+        cube = Cube(*embed_pair_entries(*kostant_pair(s).coefficients()))
         assert cube == kostant_cube(Fraction(s, 4))
         assert cube.hyperdet() == s
-    assert embed_pair(FormPair.from_forms(BQF(1, 0, 1), BQF(0, 2, 0))) == kostant_cube(1)
-    assert embed_pair(FormPair(0, 0, 0, 0, 0, 0)) == Cube(0, 0, 0, 0, 0, 0, 0, 0)
+    pair = FormPair.from_forms(BQF(1, 0, 1), BQF(0, 2, 0))
+    assert Cube(*embed_pair_entries(*pair.coefficients())) == kostant_cube(1)
+    assert Cube(*embed_pair_entries(0, 0, 0, 0, 0, 0)) == Cube(0, 0, 0, 0, 0, 0, 0, 0)
 
 
 def test_pair_disc_matches_hyperdet():
     for _ in range(25):
         pair = FormPair(*(rng.randint(-4, 4) for _ in range(6)))
-        cube = embed_pair(pair)
+        cube = Cube(*embed_pair_entries(*pair.coefficients()))
         assert cube.hyperdet() == pair_disc(pair)
         q1, q2, q3 = cube.forms()
         assert q1 == q3  # outer-factor symmetry of the displayed embedding
@@ -186,7 +184,7 @@ def test_pair_disc_action_invariant():
         pair = FormPair(*(rng.randint(-3, 3) for _ in range(6)))
         g = random_sl2z(rng)
         h = random_sl2z(rng)
-        cube = embed_pair(pair).transformed((h, g, h))
+        cube = Cube(*embed_pair_entries(*pair.coefficients())).transformed((h, g, h))
         e = cube.entries()
         assert e[1] == e[3] and e[5] == e[7]  # b1 = b3, d1 = d3
         moved = FormPair(e[0], e[1], e[6], e[2], e[5], e[4])
@@ -205,8 +203,7 @@ def test_gram_invariant():
     v1, v2 = gram_slice(8, 5)
     assert gram_matrix_n(8, v1, v2) == ((10, 0), (0, 6))
     assert gram_invariant_n(8, v1, v2) == 60       # 4 s (j - 1) at j = 4
-    assert gram_slice_invariant(8, 5) == 5
-    assert gram_slice_invariant(6, Fraction(-3, 2)) == Fraction(-3, 2)
+    assert gram_invariant_n(6, *gram_slice(6, Fraction(-3, 2))) == 8 * Fraction(-3, 2)
 
 
 def test_gram_errors():
