@@ -17,7 +17,7 @@ from functools import cache
 from typing import Optional
 
 from .conventions import DIAG_IMAGE_LAST_SIGN, DIAG_TRIPLE_FACTOR_DET
-from .cubes import Cube, act_entries, forms_entries, kostant_entries
+from .cubes import Cube, act_entries, contract_axis, forms_entries, kostant_entries
 from .errors import InputError
 from .quadforms import SL2, _frac, form_sub
 from .ring import LaurentRing, Poly
@@ -264,8 +264,9 @@ def stabilizer_bruteforce_fp(p: int, cube) -> int:
     ranges over the stabilizer S_i of form i.  The factors act on separate
     tensor indices, so (g1, g2, g3) fixes C exactly when (g1, g2, 1).C =
     (1, 1, g3^-1).C; as S_3 is a group, g3^-1 runs over S_3 with g3, and
-    the count matches the images of the two halves.  Accepts a Cube with
-    integer entries or a plain sequence of eight integers.
+    the count matches the images of the two halves, each contracting only
+    the tensor indices it moves.  Accepts a Cube with integer entries or a
+    plain sequence of eight integers.
     """
     if p > 13:
         raise InputError("p capped at 13 for the brute-force oracle")
@@ -285,13 +286,13 @@ def stabilizer_bruteforce_fp(p: int, cube) -> int:
             if (u % p, v % p, w % p) == q:
                 stabs[-1].append(((a, b), (c, d)))
     s1, s2, s3 = stabs
-    one = ((1, 0), (0, 1))
 
-    def moved(gs):
-        return tuple(x % p for x in act_entries(gs, entries))
+    def moved(axis, g, xs):
+        return tuple(x % p for x in contract_axis(axis, g, xs))
 
-    third = Counter(moved((one, one, g3)) for g3 in s3)
-    return sum(third[moved((g1, g2, one))] for g1 in s1 for g2 in s2)
+    third = Counter(moved(2, g3, entries) for g3 in s3)
+    firsts = [moved(0, g1, entries) for g1 in s1]
+    return sum(third[moved(1, g2, e)] for e in firsts for g2 in s2)
 
 
 def cubic_stab_bruteforce_fp(p: int, cubic_coeffs) -> int:

@@ -76,8 +76,9 @@ def cmd_cube(args) -> int:
     elif sub == "trace":
         print(frac_to_str(cube.trace_invariant()))
     elif sub == "forms":
-        for q in cube.forms():
-            print(str(q) if args.pretty else q.to_json())
+        # all three lines are formatted before any is printed, so an input
+        # error leaves no partial output
+        print("\n".join(str(q) if args.pretty else q.to_json() for q in cube.forms()))
     elif sub == "slices":
         pairs = cube.slices()
         _emit({
@@ -353,6 +354,14 @@ def main(argv=None) -> int:
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        # str(int) refuses integers past sys.get_int_max_str_digits(); the
+        # limit stays, as it also keeps huge numerals from parsing in quadratic time
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: a result has more than {sys.get_int_max_str_digits()} digits, "
+              "the limit for printing an integer", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .conventions import THIRD_FORM_IS_INVERSE
-from .cubes import Cube, entries_from_tensor, hyperdet_entries
+from .cubes import POSITIONS, Cube, hyperdet_entries
 from .errors import InputError, InternalError, UnsupportedInputError
 from .quadforms import (
     BQF,
@@ -102,8 +102,15 @@ class OrientedIdeal:
     basis: tuple[Element, Element]
 
     def __post_init__(self):
-        if self.norm() <= 0:
+        n = self.norm()
+        if n <= 0:
             raise InputError("ideal basis must be positively oriented")
+        # tau * w must be an integer combination of the basis (Cramer's rule)
+        (p, q), (r, s) = self.basis
+        for w in self.basis:
+            u, v = self.order.mul((0, 1), w)
+            if (u * s - v * r) % n or (p * v - q * u) % n:
+                raise InputError("lattice is not an ideal: not closed under tau")
 
     def norm(self) -> int:
         """Index of the lattice in the order: the basis determinant."""
@@ -158,15 +165,12 @@ def cube_from_forms(q1: BQF, q2: BQF) -> Cube:
     # class convention is pinned to this basis order: re-normalizing it to a
     # positively-oriented basis would invert the attached classes.
     i3_basis = tuple(order.conj(r) for r in j.basis)
-    t = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
-    for a in (0, 1):
-        for b in (0, 1):
-            for c in (0, 1):
-                prod = order.mul(order.mul(i1.basis[a], i2.basis[b]), i3_basis[c])
-                if prod[0] % nj or prod[1] % nj:
-                    raise InternalError("triple product is not integral")
-                t[a][b][c] = prod[1] // nj
-    entries = entries_from_tensor(t)
+    entries = []
+    for a, b, c in POSITIONS:
+        prod = order.mul(order.mul(i1.basis[a], i2.basis[b]), i3_basis[c])
+        if prod[0] % nj or prod[1] % nj:
+            raise InternalError("triple product is not integral")
+        entries.append(prod[1] // nj)
     if hyperdet_entries(entries) != order.D:
         raise InternalError("cube discriminant mismatch")
     return Cube(*entries)

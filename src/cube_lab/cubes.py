@@ -26,31 +26,17 @@ from .quadforms import BQF, SL2, _frac, frac_to_str
 # entry order used throughout: (a, b1, b2, b3, c, d1, d2, d3)
 ENTRY_NAMES = ("a", "b1", "b2", "b3", "c", "d1", "d2", "d3")
 
-# position of each entry in the 2x2x2 array T[i][j][k]
-_SLOT = {
-    (0, 0, 0): 0,  # a
-    (1, 0, 0): 1,  # b1
-    (0, 1, 0): 2,  # b2
-    (0, 0, 1): 3,  # b3
-    (1, 1, 1): 4,  # c
-    (0, 1, 1): 5,  # d1
-    (1, 0, 1): 6,  # d2
-    (1, 1, 0): 7,  # d3
-}
+# tensor index (i, j, k) of each entry, in entry order
+POSITIONS = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1),  # a, b1, b2, b3
+             (1, 1, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0))  # c, d1, d2, d3
 
-
-def tensor_from_entries(entries):
-    t = [[[None, None], [None, None]], [[None, None], [None, None]]]
-    for (i, j, k), slot in _SLOT.items():
-        t[i][j][k] = entries[slot]
-    return t
-
-
-def entries_from_tensor(t):
-    out = [None] * 8
-    for (i, j, k), slot in _SLOT.items():
-        out[slot] = t[i][j][k]
-    return out
+# per axis and per entry: the entry's own index on that axis, then the slots
+# of the two entries that agree with it off that axis (index 0, then 1)
+_PAIRS = tuple(
+    tuple((pos[axis],) + tuple(POSITIONS.index(pos[:axis] + (v,) + pos[axis + 1:])
+                               for v in (0, 1)) for pos in POSITIONS)
+    for axis in range(3)
+)
 
 
 def slices_entries(entries):
@@ -113,18 +99,13 @@ def trace_entries(entries):
     return a * c + b1 * d1 + b2 * d2 + b3 * d3
 
 
-def contract_axis(axis, g, t):
-    """Apply the 2x2 matrix g to tensor index `axis` of the 2x2x2 array t,
+def contract_axis(axis, g, entries):
+    """Apply the 2x2 matrix g to tensor index `axis` of the cube's entries,
     over any commutative ring: on that index e1 -> g[0][0] e1 + g[0][1] e2
-    and e2 -> g[1][0] e1 + g[1][1] e2 (the row convention)."""
-    new = [[[None, None], [None, None]], [[None, None], [None, None]]]
-    for pos in _SLOT:
-        lo, hi = list(pos), list(pos)
-        lo[axis], hi[axis] = 0, 1
-        col = pos[axis]
-        new[pos[0]][pos[1]][pos[2]] = (g[0][col] * t[lo[0]][lo[1]][lo[2]]
-                                       + g[1][col] * t[hi[0]][hi[1]][hi[2]])
-    return new
+    and e2 -> g[1][0] e1 + g[1][1] e2 (the row convention).  With a
+    traceless g this is the Lie algebra action in that factor."""
+    g0, g1 = g
+    return [g0[col] * entries[lo] + g1[col] * entries[hi] for col, lo, hi in _PAIRS[axis]]
 
 
 def act_entries(gs, entries):
@@ -135,37 +116,23 @@ def act_entries(gs, entries):
     cube_lab.conventions).  Matrices are plain nested pairs
     ((p, q), (r, s)) over any commutative ring.
     """
-    t = tensor_from_entries(entries)
     for axis, g in enumerate(gs):
-        t = contract_axis(axis, g, t)
-    return entries_from_tensor(t)
-
-
-def lie_act_entries(axis, xi, entries):
-    """Derivative of the action in one factor: contract index `axis` with xi."""
-    return entries_from_tensor(contract_axis(axis, xi, tensor_from_entries(entries)))
+        entries = contract_axis(axis, g, entries)
+    return entries
 
 
 def symplectic_pairing_entries(e1, e2):
-    """omega1 (x) omega2 (x) omega3 applied to two cubes."""
-    t1 = tensor_from_entries(e1)
-    t2 = tensor_from_entries(e2)
-    total = e1[0] - e1[0]
-    for i in (0, 1):
-        for j in (0, 1):
-            for k in (0, 1):
-                # pairing with the complementary index (1-i, 1-j, 1-k)
-                sign = 1
-                for idx in (i, j, k):
-                    sign = sign if idx == 0 else -sign
-                total = total + sign * t1[i][j][k] * t2[1 - i][1 - j][1 - k]
-    return total
+    """omega1 (x) omega2 (x) omega3 applied to two cubes: each entry pairs
+    with its complement, with sign -1 to the number of e2 factors."""
+    a, b1, b2, b3, c, d1, d2, d3 = e1
+    A, B1, B2, B3, C, D1, D2, D3 = e2
+    return (a * C - c * A + d1 * B1 - b1 * D1 + d2 * B2 - b2 * D2
+            + d3 * B3 - b3 * D3)
 
 
 def rank_one_entries(u, v, w):
     """Entries of the rank-one cube u (x) v (x) w (components over e1, e2)."""
-    t = [[[u[i] * v[j] * w[k] for k in (0, 1)] for j in (0, 1)] for i in (0, 1)]
-    return entries_from_tensor(t)
+    return [u[i] * v[j] * w[k] for i, j, k in POSITIONS]
 
 
 # -- the exact-rational cube type --------------------------------------------
@@ -231,7 +198,7 @@ class Cube:
             if not (isinstance(b, list) and isinstance(d, list) and len(b) == len(d) == 3):
                 raise ValueError("b and d must be lists of three entries")
             return Cube(data["a"], b[0], b[1], b[2], data["c"], d[0], d[1], d[2])
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise InputError(f"malformed cube JSON: {exc}") from exc
 
     def __str__(self) -> str:

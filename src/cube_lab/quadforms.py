@@ -136,7 +136,7 @@ class BQF:
         try:
             data = json.loads(text)
             return BQF(data["a"], data["b"], data["c"])
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise InputError(f"malformed form JSON: {exc}") from exc
 
     def __str__(self) -> str:

@@ -27,6 +27,7 @@ from .cubes import (
     ENTRY_NAMES,
     W,
     act_entries,
+    contract_axis,
     det2,
     embed_cubic_entries,
     embed_pair_entries,
@@ -34,7 +35,6 @@ from .cubes import (
     gram_det_entries,
     hyperdet_entries,
     kostant_entries,
-    lie_act_entries,
     slices_entries,
     symplectic_pairing_entries,
     trace_entries,
@@ -51,7 +51,7 @@ SUPPORTED_PRIMES = (3, 5, 7, 11, 13)  # odd primes up to the brute-force oracles
 @dataclass
 class CheckResult:
     name: str
-    status: str  # PASS / FAIL
+    status: str  # PASS / FAIL / ERROR (an unexpected exception)
     detail: str
     elapsed: float
 
@@ -69,11 +69,14 @@ class Report:
         except AssertionError as exc:
             status = "FAIL"
             detail = str(exc)
+        except Exception as exc:
+            status = "ERROR"
+            detail = f"{type(exc).__name__}: {exc}"
         self.results.append(CheckResult(name, status, detail, time.perf_counter() - start))
 
     @property
     def ok(self) -> bool:
-        return all(r.status != "FAIL" for r in self.results)
+        return all(r.status == "PASS" for r in self.results)
 
     def lines(self, timings: bool = False) -> list[str]:
         out = []
@@ -84,7 +87,7 @@ class Report:
             if timings:
                 line += f"  ({r.elapsed:.3f}s)"
             out.append(line)
-        tally = sum(1 for r in self.results if r.status == "FAIL")
+        tally = sum(1 for r in self.results if r.status != "PASS")
         out.append(f"{'FAIL' if tally else 'PASS'}: {len(self.results)} checks, {tally} failures")
         return out
 
@@ -185,7 +188,7 @@ def check_moment_map():
         m = b * (twist * half)
         mirror = ((m, -c), (a, -m))
         for xi in basis:
-            lhs = symplectic_pairing_entries(e, lie_act_entries(factor, xi, e)) * half
+            lhs = symplectic_pairing_entries(e, contract_axis(factor, xi, e)) * half
             tr = (mirror[0][0] * xi[0][0] + mirror[0][1] * xi[1][0]
                   + mirror[1][0] * xi[0][1] + mirror[1][1] * xi[1][1])
             assert (lhs - tr).is_zero(), f"moment identity fails in factor {factor + 1}"

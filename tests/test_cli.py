@@ -1,6 +1,7 @@
 import json
+import sys
 
-from cube_lab import composition
+from cube_lab import composition, verify
 from cube_lab.cli import main
 from cube_lab.errors import InternalError
 
@@ -195,6 +196,40 @@ def test_exponent_notation_exits_2(capsys):
     assert code == 0 and out.strip() == "9/4"
 
 
+def test_deeply_nested_json_exits_2(capsys):
+    # json.loads raises RecursionError, not ValueError, past its nesting depth
+    code, out, err = run(capsys, "cube", "det", "--cube", "[" * 100000)
+    assert code == 2 and out == "" and "error:" in err
+    code, out, err = run(capsys, "forms", "reduce", "--form", '{"a":' + "[" * 100000)
+    assert code == 2 and out == "" and "error:" in err
+
+
+def _huge_ac_cube(digits):
+    big = "1" + "0" * digits
+    return json.dumps({"a": big, "b": ["0", "0", "0"], "c": big, "d": ["0", "0", "0"]})
+
+
+def test_result_past_digit_limit_exits_2(capsys):
+    # the hyperdet a^2 c^2 has 6001 digits, past the limit for str(int)
+    limit = str(sys.get_int_max_str_digits())
+    code, out, err = run(capsys, "cube", "det", "--cube", _huge_ac_cube(1500))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and limit in err and "Traceback" not in err
+
+
+def test_forms_past_digit_limit_exits_2(capsys):
+    # the middle coefficient ac has 6001 digits; JSON and --pretty both print it
+    limit = str(sys.get_int_max_str_digits())
+    big = "1" + "0" * 3000
+    # first form (0, 0, 0), second form (0, 0, b2 c): no partial output either
+    second_only = json.dumps({"a": "0", "b": ["0", big, "0"], "c": big, "d": ["0", "0", "0"]})
+    for cube in (_huge_ac_cube(3000), second_only):
+        for extra in ((), ("--pretty",)):
+            code, out, err = run(capsys, "cube", "forms", *extra, "--cube", cube)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and limit in err and "Traceback" not in err
+
+
 def test_internal_error_exits_3(capsys, monkeypatch):
     def broken(q1, q2):
         raise InternalError("triple product is not integral")
@@ -221,6 +256,19 @@ def test_verify_non_integer_discriminant_exits_2(capsys):
     assert code == 2 and out == "" and "error:" in err
     code, out, err = run(capsys, "verify", "--suite", "composition", "--discs", "-23,5")
     assert code == 2 and out == "" and "error:" in err
+
+
+def test_verify_records_unexpected_exception_as_error(capsys, monkeypatch):
+    def broken():
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(verify, "check_orbit_representatives", broken)
+    code, out, err = run(capsys, "verify", "--suite", "orbits")
+    lines = out.splitlines()
+    assert lines[0] == "ERROR orbit-representatives  [ZeroDivisionError: division by zero]"
+    assert lines[1].startswith("PASS orbit-invariance")
+    assert lines[-1] == "FAIL: 4 checks, 1 failures"
+    assert code == 1 and "Traceback" not in err
 
 
 def test_verify_symbolic_deterministic(capsys):

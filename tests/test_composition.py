@@ -79,6 +79,15 @@ def test_ideal_orientation_validation():
         OrientedIdeal(order, ((0, 1), (1, 0)))  # negative orientation
 
 
+def test_ideal_must_be_closed_under_tau():
+    # Z + 2 tau Z is a positively oriented lattice of index 2, but tau is not
+    # in it; as an "ideal" its norm form would be 1/2x^2 - 23xy + 276y^2
+    order = QuadraticOrder(-23)
+    with pytest.raises(InputError):
+        OrientedIdeal(order, ((1, 0), (0, 2)))
+    assert OrientedIdeal(order, ((2, 0), (12, 1))).norm() == 2
+
+
 def test_cube_from_principal_pair():
     table = class_group(-23)
     e = table.forms[table.identity]

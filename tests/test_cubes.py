@@ -10,9 +10,11 @@ from cube_lab.cubes import (
     W,
     Cube,
     act_entries,
+    contract_axis,
     kostant_cube,
     rank_one_cube,
     rank_one_entries,
+    symplectic_pairing_entries,
 )
 from cube_lab.errors import InputError
 from cube_lab.quadforms import BQF, SL2, act as form_act, random_sl2z
@@ -164,3 +166,105 @@ def test_act_entries_on_rank_one_cubes(u, v, w, gs):
 
     moved = [row_times(x, g) for x, g in zip((u, v, w), gs)]
     assert act_entries(gs, rank_one_entries(u, v, w)) == rank_one_entries(*moved)
+
+
+# -- the nested-tensor layout, kept as the plainly correct reference ----------
+
+_REF_SLOT = {
+    (0, 0, 0): 0,  # a
+    (1, 0, 0): 1,  # b1
+    (0, 1, 0): 2,  # b2
+    (0, 0, 1): 3,  # b3
+    (1, 1, 1): 4,  # c
+    (0, 1, 1): 5,  # d1
+    (1, 0, 1): 6,  # d2
+    (1, 1, 0): 7,  # d3
+}
+
+
+def ref_tensor_from_entries(entries):
+    t = [[[None, None], [None, None]], [[None, None], [None, None]]]
+    for (i, j, k), slot in _REF_SLOT.items():
+        t[i][j][k] = entries[slot]
+    return t
+
+
+def ref_entries_from_tensor(t):
+    out = [None] * 8
+    for (i, j, k), slot in _REF_SLOT.items():
+        out[slot] = t[i][j][k]
+    return out
+
+
+def ref_contract_axis(axis, g, t):
+    new = [[[None, None], [None, None]], [[None, None], [None, None]]]
+    for pos in _REF_SLOT:
+        lo, hi = list(pos), list(pos)
+        lo[axis], hi[axis] = 0, 1
+        col = pos[axis]
+        new[pos[0]][pos[1]][pos[2]] = (g[0][col] * t[lo[0]][lo[1]][lo[2]]
+                                       + g[1][col] * t[hi[0]][hi[1]][hi[2]])
+    return new
+
+
+def ref_act_entries(gs, entries):
+    t = ref_tensor_from_entries(entries)
+    for axis, g in enumerate(gs):
+        t = ref_contract_axis(axis, g, t)
+    return ref_entries_from_tensor(t)
+
+
+def ref_symplectic_pairing_entries(e1, e2):
+    t1 = ref_tensor_from_entries(e1)
+    t2 = ref_tensor_from_entries(e2)
+    total = e1[0] - e1[0]
+    for i in (0, 1):
+        for j in (0, 1):
+            for k in (0, 1):
+                sign = 1
+                for idx in (i, j, k):
+                    sign = sign if idx == 0 else -sign
+                total = total + sign * t1[i][j][k] * t2[1 - i][1 - j][1 - k]
+    return total
+
+
+cube_entries = st.lists(fracs, min_size=8, max_size=8)
+# rank at most one: the second row is a multiple of the first
+singular_matrices = st.builds(lambda row, t: (row, (t * row[0], t * row[1])), vectors, fracs)
+any_matrices = matrices | singular_matrices
+
+
+@given(st.sampled_from((0, 1, 2)), any_matrices, cube_entries)
+@settings(max_examples=50, deadline=None)
+def test_contract_axis_matches_nested_tensor(axis, g, e):
+    expected = ref_entries_from_tensor(ref_contract_axis(axis, g, ref_tensor_from_entries(e)))
+    assert contract_axis(axis, g, e) == expected
+
+
+@given(st.tuples(any_matrices, any_matrices, any_matrices), cube_entries)
+@settings(max_examples=40, deadline=None)
+def test_act_entries_matches_nested_tensor(gs, e):
+    assert act_entries(gs, e) == ref_act_entries(gs, e)
+
+
+ints = st.integers(-9, 9)
+int_matrices = st.tuples(st.tuples(ints, ints), st.tuples(ints, ints))
+
+
+@given(st.tuples(int_matrices, int_matrices, int_matrices), st.lists(ints, min_size=8, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_act_entries_matches_nested_tensor_on_integral_cubes(gs, e):
+    assert act_entries(gs, e) == ref_act_entries(gs, e)
+
+
+@given(cube_entries, cube_entries)
+@settings(max_examples=40, deadline=None)
+def test_symplectic_pairing_matches_nested_tensor(e1, e2):
+    assert symplectic_pairing_entries(e1, e2) == ref_symplectic_pairing_entries(e1, e2)
+
+
+@given(vectors, vectors, vectors)
+@settings(max_examples=30, deadline=None)
+def test_rank_one_entries_matches_nested_tensor(u, v, w):
+    t = [[[u[i] * v[j] * w[k] for k in (0, 1)] for j in (0, 1)] for i in (0, 1)]
+    assert rank_one_entries(u, v, w) == ref_entries_from_tensor(t)
