@@ -273,7 +273,7 @@ def stabilizer_bruteforce_fp(p: int, cube) -> int:
     if isinstance(cube, Cube):
         if not cube.is_integral():
             raise InputError("cube must have integer entries to reduce mod p")
-        cube = [int(x) for x in cube.entries()]
+        cube = cube.numerators
     entries = tuple(x % p for x in cube)
     group = sl2_fp(p)
     stabs = []

@@ -140,7 +140,7 @@ def cmd_compose_cube(args) -> int:
     _emit({
         "cube": cube.to_dict(),
         "third_form": cube.forms()[2].to_dict(),
-        "composition_class": composition.compose_via_cube(q1, q2).to_dict(),
+        "composition_class": composition.composition_class(cube).to_dict(),
     })
     return 0
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .conventions import THIRD_FORM_IS_INVERSE
-from .cubes import POSITIONS, Cube, hyperdet_entries
+from .cubes import POSITIONS, Cube, forms_entries, hyperdet_entries
 from .errors import InputError, InternalError, UnsupportedInputError
 from .quadforms import (
     BQF,
@@ -199,23 +199,29 @@ def triple_law_holds(q1: BQF, q2: BQF, q3: BQF) -> bool:
 
 def verify_triple_law(cube: Cube) -> bool:
     """[q1][q2][q3] = identity for the three slicing forms of the cube."""
-    D = cube.hyperdet()
+    D = hyperdet_entries(cube.numerators)
     if not cube.is_integral() or D >= 0:
         raise UnsupportedInputError("need an integral cube of negative discriminant")
-    forms = cube.forms()
-    if any(not f.is_primitive() for f in forms):
+    forms = forms_entries(cube.numerators)
+    if any(gcd(*f) != 1 for f in forms):
         raise UnsupportedInputError("slicing forms are not all primitive")
-    return triple_law_holds(*forms)
+    return triple_law_holds(*(BQF(*f) for f in forms))
+
+
+def composition_class(cube: Cube) -> BQF:
+    """Reduced form of the class [q1][q2] of the first two forms of a
+    projective cube, with no class group: the third form's class is
+    inverted per the frozen convention."""
+    q3 = _positive(cube.forms()[2])
+    if THIRD_FORM_IS_INVERSE:
+        q3 = BQF(q3.a, -q3.b, q3.c)
+    return reduce(q3)[0]
 
 
 def compose_via_cube(q1: BQF, q2: BQF) -> BQF:
     """Reduced form of the composition class of q1 and q2, computed by the
-    cube route with no class group: the third form's class is inverted per
-    the frozen convention."""
-    q3 = _positive(cube_from_forms(q1, q2).forms()[2])
-    if THIRD_FORM_IS_INVERSE:
-        q3 = BQF(q3.a, -q3.b, q3.c)
-    return reduce(q3)[0]
+    cube route: the class of cube_from_forms(q1, q2)."""
+    return composition_class(cube_from_forms(q1, q2))
 
 
 def random_primitive_cube(rng: random.Random, bound: int = 4, max_tries: int = 10000) -> Cube:

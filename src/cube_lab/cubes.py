@@ -11,7 +11,8 @@ The tensor dictionary is fixed once and for all: the cube
 The low-level functions in this module are written against any commutative
 ring elements (Fraction, Laurent polynomials, integers mod p), so the same
 formulas serve both numeric work and the symbolic identity checks.  The
-:class:`Cube` dataclass wraps them for exact rationals.
+:class:`Cube` type wraps them for exact rationals, on int numerators over
+one common denominator.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InputError
 from .quadforms import BQF, SL2, _frac, frac_to_str
@@ -138,53 +140,96 @@ def rank_one_entries(u, v, w):
 # -- the exact-rational cube type --------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cube:
-    a: Fraction
-    b1: Fraction
-    b2: Fraction
-    b3: Fraction
-    c: Fraction
-    d1: Fraction
-    d2: Fraction
-    d3: Fraction
+def _common(values):
+    """Int numerators over the least common denominator of Fractions in
+    lowest terms; such a pair is in lowest terms too."""
+    den = lcm(*(x.denominator for x in values))
+    return tuple(x.numerator * (den // x.denominator) for x in values), den
 
-    def __post_init__(self):
-        for name in ENTRY_NAMES:
-            object.__setattr__(self, name, _frac(getattr(self, name)))
+
+def _over(n: int, d: int) -> Fraction:
+    return Fraction(n) if d == 1 else Fraction(n, d)
+
+
+@dataclass(frozen=True, init=False)
+class Cube:
+    """A cube over Q: eight int numerators over one common positive
+    denominator L, in lowest terms (gcd(L, numerators) = 1, so L = 1 for an
+    integral cube and for the zero cube).  Equality and hashing are exact
+    on the pair.
+
+    A degree-k invariant is its ring-generic formula on the numerators over
+    L**k, turned into a Fraction only here.  The entries `a` ... `d3`,
+    `entries()` and `slices()` are Fractions.
+    """
+
+    __slots__ = ("numerators", "denominator")
+    numerators: tuple[int, ...]
+    denominator: int
+
+    def __init__(self, a, b1, b2, b3, c, d1, d2, d3):
+        values = (a, b1, b2, b3, c, d1, d2, d3)
+        if all(type(x) is int for x in values):
+            nums, den = values, 1
+        else:
+            nums, den = _common([_frac(x) for x in values])
+        object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "denominator", den)
+
+    @classmethod
+    def _lowest(cls, numerators, denominator: int) -> "Cube":
+        """The cube numerators / denominator (a positive int), in lowest terms."""
+        g = gcd(denominator, *numerators)
+        cube = object.__new__(cls)
+        object.__setattr__(cube, "numerators", tuple(n // g for n in numerators))
+        object.__setattr__(cube, "denominator", denominator // g)
+        return cube
+
+    def _entry(i):
+        return property(lambda self: _over(self.numerators[i], self.denominator))
+
+    a, b1, b2, b3, c, d1, d2, d3 = map(_entry, range(8))
+    del _entry
 
     def entries(self) -> tuple[Fraction, ...]:
-        return tuple(getattr(self, name) for name in ENTRY_NAMES)
+        d = self.denominator
+        return tuple(_over(n, d) for n in self.numerators)
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.entries())
+        return self.denominator == 1
 
     def slices(self):
         return slices_entries(self.entries())
 
     def forms(self) -> tuple[BQF, BQF, BQF]:
-        return tuple(BQF(*t) for t in forms_entries(self.entries()))
+        d = self.denominator ** 2
+        return tuple(BQF(_over(p, d), _over(q, d), _over(r, d))
+                     for p, q, r in forms_entries(self.numerators))
 
     def hyperdet(self) -> Fraction:
-        return hyperdet_entries(self.entries())
+        return _over(hyperdet_entries(self.numerators), self.denominator ** 4)
 
     def hyperdet_gram(self) -> Fraction:
-        return gram_det_entries(self.entries())
+        return _over(gram_det_entries(self.numerators), self.denominator ** 4)
 
     def trace_invariant(self) -> Fraction:
-        return trace_entries(self.entries())
+        return _over(trace_entries(self.numerators), self.denominator ** 2)
 
     def transformed(self, triple) -> "Cube":
-        gs = tuple(g.rows() if isinstance(g, SL2) else g for g in triple)
-        return Cube(*act_entries(gs, self.entries()))
+        """The cube moved by a triple of SL2 elements or raw 2x2 rational
+        matrices: each matrix acts as an int matrix over its own common
+        denominator, which multiplies into the cube's."""
+        gs, den = [], self.denominator
+        for g in triple:
+            (p, q), (r, s) = g.rows() if isinstance(g, SL2) else g
+            (p, q, r, s), m = _common([_frac(p), _frac(q), _frac(r), _frac(s)])
+            gs.append(((p, q), (r, s)))
+            den *= m
+        return Cube._lowest(act_entries(gs, self.numerators), den)
 
     def to_dict(self) -> dict:
-        return {
-            "a": frac_to_str(self.a),
-            "b": [frac_to_str(self.b1), frac_to_str(self.b2), frac_to_str(self.b3)],
-            "c": frac_to_str(self.c),
-            "d": [frac_to_str(self.d1), frac_to_str(self.d2), frac_to_str(self.d3)],
-        }
+        e = [frac_to_str(x) for x in self.entries()]
+        return {"a": e[0], "b": e[1:4], "c": e[4], "d": e[5:8]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -202,10 +247,8 @@ class Cube:
             raise InputError(f"malformed cube JSON: {exc}") from exc
 
     def __str__(self) -> str:
-        e = self.entries()
         return "(%s, (%s, %s, %s), %s, (%s, %s, %s))" % tuple(
-            frac_to_str(x) for x in (e[0], e[1], e[2], e[3], e[4], e[5], e[6], e[7])
-        )
+            frac_to_str(x) for x in self.entries())
 
 
 def kostant_entries(s, zero, one):

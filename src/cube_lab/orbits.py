@@ -2,16 +2,16 @@
 
 Over an algebraically closed field there are exactly seven orbits; they are
 separated by the hyperdeterminant together with the multilinear (flattening)
-ranks, all computed exactly over the rationals.  Over Q the nonzero locus of
-the hyperdeterminant splits further into square classes; the classifier
-deliberately reports the geometric orbit type.
+ranks, all computed exactly on a cube's flat entries over the rationals.
+Over Q the nonzero locus of the hyperdeterminant splits further into square
+classes; the classifier deliberately reports the geometric orbit type.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from .cubes import Cube, kostant_cube
+from .cubes import Cube, hyperdet_entries, kostant_cube, slices_entries
 
 
 class OrbitClass(enum.Enum):
@@ -27,12 +27,6 @@ class OrbitClass(enum.Enum):
         return self.value
 
 
-def flattening_matrices(cube: Cube):
-    """The three 2x4 flattenings of the tensor, one per factor: row j of
-    flattening i is slice matrix j of slicing i, read row by row."""
-    return tuple((m[0] + m[1], n[0] + n[1]) for m, n in cube.slices())
-
-
 def _rank_2x4(rows) -> int:
     # exact rank of a 2x4 matrix: zero matrix, vanishing 2x2 minors, or 2.
     # (the 2-row case of fraction-free elimination; no thresholds anywhere)
@@ -46,14 +40,23 @@ def _rank_2x4(rows) -> int:
     return 1
 
 
-def flattening_ranks(cube: Cube) -> tuple[int, int, int]:
-    return tuple(_rank_2x4(m) for m in flattening_matrices(cube))
+def flattening_ranks(entries) -> tuple[int, int, int]:
+    """Ranks of the three 2x4 flattenings of a cube, given as a Cube or as
+    its flat entries over Q: row j of flattening i is slice matrix j of
+    slicing i, read row by row."""
+    if isinstance(entries, Cube):
+        entries = entries.numerators
+    return tuple(_rank_2x4((m[0] + m[1], n[0] + n[1])) for m, n in slices_entries(entries))
 
 
-def classify(cube: Cube) -> OrbitClass:
-    if cube.hyperdet() != 0:
+def classify_entries(entries) -> OrbitClass:
+    """The geometric orbit class of a cube given by its flat entries over Q
+    (ints or Fractions).  Scaling the entries by a nonzero rational changes
+    neither the zero-ness of the hyperdeterminant nor a rank, so a Cube is
+    classified on its numerators."""
+    if hyperdet_entries(entries) != 0:
         return OrbitClass.GENERIC
-    ranks = flattening_ranks(cube)
+    ranks = flattening_ranks(entries)
     if ranks == (0, 0, 0):
         return OrbitClass.ZERO
     if ranks == (1, 1, 1):
@@ -62,6 +65,10 @@ def classify(cube: Cube) -> OrbitClass:
     if len(ones) == 1:
         return (OrbitClass.SEP_1, OrbitClass.SEP_2, OrbitClass.SEP_3)[ones[0]]
     return OrbitClass.W
+
+
+def classify(cube: Cube) -> OrbitClass:
+    return classify_entries(cube.numerators)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ at the public boundary.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
@@ -24,10 +25,20 @@ from .errors import InputError, InternalError, UnsupportedInputError
 from .ring import format_terms
 
 
+# an ASCII integer or 'p/q' with no spaces: the common spelling, read with int()
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?", re.ASCII)
+
+
 def _frac(x) -> Fraction:
     """The one path from an int, a Fraction or a 'p/q' string to a Fraction."""
     if type(x) is Fraction:
         return x
+    if type(x) is str and (m := _PLAIN.fullmatch(x)):
+        num, den = m.groups()
+        try:
+            return Fraction(int(num)) if den is None else Fraction(int(num), int(den))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad rational {x!r}: {exc}") from exc
     if isinstance(x, float):
         raise InputError("floating point input rejected; use int, Fraction or 'p/q' strings")
     if x is True or x is False:

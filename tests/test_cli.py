@@ -108,6 +108,20 @@ def test_compose_cube(capsys):
     assert json.loads(out2)["triple_law"] is True
 
 
+def test_compose_cube_builds_the_cube_once(capsys, monkeypatch):
+    calls = []
+    build = composition.cube_from_forms
+
+    def counting(q1, q2):
+        calls.append((q1, q2))
+        return build(q1, q2)
+
+    monkeypatch.setattr(composition, "cube_from_forms", counting)
+    code, out, _ = run(capsys, "compose-cube", "--q1", "2,1,3", "--q2", "3,1,2", "-D", "-23")
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["composition_class"] == {"a": "1", "b": "1", "c": "6"}
+
+
 def test_variants_resolvent(capsys):
     code, out, _ = run(capsys, "variants", "resolvent", "--cubic", "-1/4,0,1,0")
     assert code == 0 and out.strip() == "-1/4x^2 - y^2"

@@ -11,6 +11,7 @@ from cube_lab.quadforms import (
     SL2,
     _bezout,
     _crt,
+    _frac,
     _require_reducible,
     act,
     class_group,
@@ -337,3 +338,25 @@ def test_class_group_table_matches_fraction_reference():
             for j, f2 in enumerate(table.forms):
                 expected = table.forms.index(reference_reduce(reference_compose_dirichlet(f1, f2))[0])
                 assert table.compose(i, j) == expected
+
+
+@given(st.from_regex(r"\A-?[0-9]{1,25}(/[0-9]{1,25})?\Z"))
+@settings(max_examples=60, deadline=None)
+def test_plain_spellings_parse_as_fraction_does(text):
+    # _frac reads 'p' and 'p/q' with int(); Fraction's own parser is the reference
+    try:
+        expected = Fraction(text)
+    except ZeroDivisionError:
+        with pytest.raises(InputError):
+            _frac(text)
+        return
+    got = _frac(text)
+    assert type(got) is Fraction and got == expected
+
+
+def test_other_spellings_still_parse():
+    assert _frac(" 3/4 ") == Fraction(3, 4)
+    assert _frac("+3") == 3 and _frac("1.5") == Fraction(3, 2) and _frac("1_0") == 10
+    for bad in ("", "-", "3/-4", "1/0", "0x10", "1e5", "3//4", "9" * 5000):
+        with pytest.raises(InputError):
+            _frac(bad)
