@@ -1,11 +1,17 @@
 """The regular-centralizer group J, its torsion, the conjugated-torus
-stabilizer matrices of the slice cube, and finite-field brute-force oracles.
+stabilizer matrices of the slice cube, and finite-field stabilizer oracles.
 
 J is the commutative group scheme over the affine line whose fiber at y is
 {(x, b) : x^2 - y b^2 = 1}, an element acting as the 2x2 matrix
 (x, b; b y, x).  Fibers over a nonzero square are split tori, fibers over a
 nonsquare are the norm-one tori of the quadratic extension, and the fiber at
 0 degenerates to {(+-1, b)}.
+
+The F_p oracles take their candidates from fibers of J, listed in O(p) from
+a per-prime square-root table: a form of discriminant D != 0 mod an odd p
+is fixed exactly by the fiber at D/4 (`form_stabilizer_fp`), each cube
+factor by its form's, and a cubic only by elements fixing its resolvent.
+SL2(F_p) is filtered only when D = 0 mod p or p = 2.
 """
 
 from __future__ import annotations
@@ -94,14 +100,20 @@ def j_torsion_order(u: JElement, nmax: int) -> Optional[int]:
     return None
 
 
-def j_fiber_elements(p: int, y: int) -> list[JElement]:
-    """All F_p-points of the fiber of J at y."""
-    out = []
+@cache
+def _square_roots_fp(p: int) -> tuple[tuple[int, ...], ...]:
+    """roots[r] lists the x in F_p with x^2 = r, built once per prime."""
+    roots = [[] for _ in range(p)]
     for x in range(p):
-        for b in range(p):
-            if (x * x - y * b * b) % p == 1 % p:
-                out.append(JElement(y, x, b, p))
-    return out
+        roots[x * x % p].append(x)
+    return tuple(map(tuple, roots))
+
+
+def j_fiber_elements(p: int, y: int) -> list[JElement]:
+    """All F_p-points of the fiber of J at y: for each b, the square roots x
+    of 1 + y b^2."""
+    roots = _square_roots_fp(p)
+    return [JElement(y, x, b, p) for b in range(p) for x in roots[(1 + y * b * b) % p]]
 
 
 def is_split_fiber(p: int, y: int) -> bool:
@@ -257,16 +269,43 @@ def binary_form_sub_fp(coeffs, g, p):
     return tuple(x % p for x in out)
 
 
+def form_stabilizer_fp(q, p: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The g = (g11, g12, g21, g22) of SL2(F_p) fixing the form q = (a, b, c)
+    as a cube factor acts on its form: form_sub(q, g^T) = q (conventions
+    item 3).
+
+    For odd p and D = b^2 - 4ac nonzero mod p these are the x I + t M with
+    M = (b/2, c; -a, -b/2), so M^2 = (D/4) I, and x^2 - (D/4) t^2 = 1: the
+    fiber of J at D/4, p - (D/p) elements listed in O(p).  Otherwise
+    SL2(F_p) is filtered.
+    """
+    a, b, c = q = tuple(v % p for v in q)
+    disc = (b * b - 4 * a * c) % p
+    if p == 2 or disc == 0:
+        return tuple(
+            g for g in sl2_fp(p)
+            if tuple(v % p for v in form_sub(q, ((g[0], g[2]), (g[1], g[3])))) == q
+        )
+    half = (p + 1) // 2
+    y = disc * half * half % p
+    hb = b * half
+    roots = _square_roots_fp(p)
+    return tuple(
+        ((x + t * hb) % p, t * c % p, -t * a % p, (x - t * hb) % p)
+        for t in range(p) for x in roots[(1 + y * t * t) % p]
+    )
+
+
 def stabilizer_bruteforce_fp(p: int, cube) -> int:
     """Count the SL2(F_p)^3 triples fixing a cube.
 
     A triple fixing the cube fixes each attached form, so factor i only
-    ranges over the stabilizer S_i of form i.  The factors act on separate
-    tensor indices, so (g1, g2, g3) fixes C exactly when (g1, g2, 1).C =
-    (1, 1, g3^-1).C; as S_3 is a group, g3^-1 runs over S_3 with g3, and
-    the count matches the images of the two halves, each contracting only
-    the tensor indices it moves.  Accepts a Cube with integer entries or a
-    plain sequence of eight integers.
+    ranges over the stabilizer S_i of form i (`form_stabilizer_fp`).  The
+    factors act on separate tensor indices, so (g1, g2, g3) fixes C exactly
+    when (g1, g2, 1).C = (1, 1, g3^-1).C; as S_3 is a group, g3^-1 runs over
+    S_3 with g3, and the count matches the images of the two halves, each
+    contracting only the tensor indices it moves.  Accepts a Cube with
+    integer entries or a plain sequence of eight integers.
     """
     if p > 13:
         raise InputError("p capped at 13 for the brute-force oracle")
@@ -275,17 +314,10 @@ def stabilizer_bruteforce_fp(p: int, cube) -> int:
             raise InputError("cube must have integer entries to reduce mod p")
         cube = cube.numerators
     entries = tuple(x % p for x in cube)
-    group = sl2_fp(p)
-    stabs = []
-    for q in forms_entries(entries):
-        q = tuple(x % p for x in q)
-        stabs.append([])
-        for a, b, c, d in group:
-            # factor i acts on form i as act(g_i^T, .) (conventions item 3)
-            u, v, w = form_sub(q, ((a, c), (b, d)))
-            if (u % p, v % p, w % p) == q:
-                stabs[-1].append(((a, b), (c, d)))
-    s1, s2, s3 = stabs
+    s1, s2, s3 = (
+        [((a, b), (c, d)) for a, b, c, d in form_stabilizer_fp(q, p)]
+        for q in forms_entries(entries)
+    )
 
     def moved(axis, g, xs):
         return tuple(x % p for x in contract_axis(axis, g, xs))
@@ -297,11 +329,19 @@ def stabilizer_bruteforce_fp(p: int, cube) -> int:
 
 def cubic_stab_bruteforce_fp(p: int, cubic_coeffs) -> int:
     """Count of g in SL2(F_p) fixing the binary cubic (binomial coefficients
-    (a, b, c, d) meaning a x^3 + 3b x^2 y + 3c x y^2 + d y^3)."""
+    (a, b, c, d) meaning a x^3 + 3b x^2 y + 3c x y^2 + d y^3).
+
+    The resolvent is a covariant, so such a g also fixes the resolvent
+    under the same substitution, f -> f((x, y).g); only the transposes of
+    the resolvent's `form_stabilizer_fp` are tested."""
+    from .variants import resolvent_terms  # variants imports this module
+
     if p > 13:
         raise InputError("p capped at 13 for the brute-force oracle")
     if p == 3:
         raise InputError("binomial cubics need 3 invertible")
     a, b, c, d = (x % p for x in cubic_coeffs)
     plain = (a, 3 * b % p, 3 * c % p, d)
-    return sum(1 for g in sl2_fp(p) if binary_form_sub_fp(plain, g, p) == plain)
+    candidates = form_stabilizer_fp(resolvent_terms(a, b, c, d), p)
+    return sum(1 for g11, g12, g21, g22 in candidates
+               if binary_form_sub_fp(plain, (g11, g21, g12, g22), p) == plain)

@@ -31,6 +31,22 @@ from .quadforms import (
 )
 from .verify import SUPPORTED_PRIMES, run_suite
 
+# The largest |D| the CLI builds class groups for; each is set from the
+# discriminant of largest class number below it, timed on a 2-CPU Xeon VM
+# with Python 3.11.  `forms classgroup` builds and prints one table
+# (h^2/2 compositions): D = -289511, h = 963, 2.7 s.  `verify` also
+# composes h^2 cubes and checks associativity (h^3 lookups) per
+# discriminant: D = -4991, h = 92, 3.3 s.  The library is not capped.
+CLASSGROUP_MAX_ABS_D = 300_000
+VERIFY_MAX_ABS_D = 5_000
+
+
+def _require_capped_discriminant(D: int, cap: int, verb: str) -> None:
+    if abs(D) > cap:
+        raise InputError(f"|D| = {abs(D)} is past {cap}, the largest |D| "
+                         f"`{verb}` builds a class group for")
+    _require_discriminant(D)
+
 
 def _parse_csv_fractions(text: str, expected: int | None = None):
     parts = [p for p in text.split(",") if p.strip()]
@@ -117,6 +133,7 @@ def cmd_forms(args) -> int:
         out = compose_dirichlet(parse_form(args.q1), parse_form(args.q2))
         _emit(reduce(out)[0].to_dict())
     elif sub == "classgroup":
+        _require_capped_discriminant(args.D, CLASSGROUP_MAX_ABS_D, "forms classgroup")
         table = class_group(args.D)
         _emit({
             "discriminant": table.D,
@@ -216,7 +233,7 @@ def cmd_verify(args) -> int:
             raise InputError(f"CUBELAB_SEED must be an integer, got {env_seed!r}") from None
     discs = _parse_ints(args.discs, "--discs") if args.discs else None
     for d in discs or ():
-        _require_discriminant(d)
+        _require_capped_discriminant(d, VERIFY_MAX_ABS_D, "verify --discs")
     primes = _parse_ints(args.primes, "--primes") if args.primes else None
     for p in primes or ():
         if p not in SUPPORTED_PRIMES:

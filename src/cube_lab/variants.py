@@ -200,9 +200,18 @@ def quartic_stab_count_fp(p: int, d: int, e: int) -> int:
     if p in (2, 3):
         raise InputError("need p coprime to 6")
     coeffs = (0, 4 % p, 0, 4 * d % p, 4 * e % p)
+
+    def quarter(x, y):  # the slice at (x, y), divided by 4
+        return y * (x * x * x + d * x * y * y + e * y * y * y)
+
     count = 0
     for g in pgl2_fp(p):
-        det = (g[0] * g[3] - g[1] * g[2]) % p
+        g11, g12, g21, g22 = g
+        det = g11 * g22 - g12 * g21
+        # the x^4 and y^4 coefficients of f((x, y).g) are f(g11, g12) and
+        # f(g21, g22); a fixed quartic needs them to be 0 and 4e det^2
+        if quarter(g11, g12) % p or (quarter(g21, g22) - e * det * det) % p:
+            continue
         scale = pow(det * det % p, -1, p)
         moved = tuple(v * scale % p for v in binary_form_sub_fp(coeffs, g, p))
         if moved == coeffs:

@@ -264,6 +264,8 @@ def test_cubic_stab_counts():
     assert cubic_stab_bruteforce_fp(5, (1, 0, 1, 0)) == 1   # gcd(3, 4) = 1
     with pytest.raises(InputError):
         cubic_stab_bruteforce_fp(3, (1, 0, 1, 0))
+    with pytest.raises(InputError):
+        cubic_stab_bruteforce_fp(17, (1, 0, 1, 0))
 
 
 def test_cubic_stab_degenerate_is_report_only():

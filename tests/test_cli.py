@@ -2,8 +2,9 @@ import json
 import sys
 
 from cube_lab import composition, verify
-from cube_lab.cli import main
+from cube_lab.cli import CLASSGROUP_MAX_ABS_D, VERIFY_MAX_ABS_D, main
 from cube_lab.errors import InternalError
+from cube_lab.quadforms import class_group
 
 KOSTANT_1 = '{"a":"1","b":["0","0","0"],"c":"0","d":["1","1","1"]}'
 GHZ_JSON = '{"a":"1","b":["0","0","0"],"c":"1","d":["0","0","0"]}'
@@ -95,6 +96,30 @@ def test_forms_classgroup(capsys):
     data = json.loads(out)
     assert data["class_number"] == 3
     assert data["forms"][data["identity"]] == {"a": "1", "b": "1", "c": "6"}
+
+
+def test_forms_classgroup_past_the_cap_exits_2(capsys, monkeypatch):
+    # the smallest discriminant past the cap, and one that used to hang
+    seen = []
+    monkeypatch.setattr("cube_lab.cli.class_group", seen.append)
+    for d in (-(CLASSGROUP_MAX_ABS_D + 3), -100000000000):
+        assert d % 4 in (0, 1)
+        code, out, err = run(capsys, "forms", "classgroup", "-D", str(d))
+        assert code == 2 and out == ""
+        assert f"is past {CLASSGROUP_MAX_ABS_D}" in err
+    assert seen == []
+
+
+def test_forms_classgroup_at_the_cap_reaches_the_library(capsys, monkeypatch):
+    seen = []
+
+    def small_group(d):
+        seen.append(d)
+        return class_group(-23)
+
+    monkeypatch.setattr("cube_lab.cli.class_group", small_group)
+    code, _, _ = run(capsys, "forms", "classgroup", "-D", str(-CLASSGROUP_MAX_ABS_D))
+    assert code == 0 and seen == [-CLASSGROUP_MAX_ABS_D]
 
 
 def test_compose_cube(capsys):
@@ -270,6 +295,17 @@ def test_verify_non_integer_discriminant_exits_2(capsys):
     assert code == 2 and out == "" and "error:" in err
     code, out, err = run(capsys, "verify", "--suite", "composition", "--discs", "-23,5")
     assert code == 2 and out == "" and "error:" in err
+
+
+def test_verify_discriminant_past_the_cap_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr("cube_lab.cli.run_suite", lambda *args, **kwargs: verify.Report())
+    past = -(VERIFY_MAX_ABS_D + 3)
+    assert past % 4 == 1
+    code, out, err = run(capsys, "verify", "--suite", "composition", "--discs", f"-23,{past}")
+    assert code == 2 and out == "" and f"is past {VERIFY_MAX_ABS_D}" in err
+    code, out, _ = run(capsys, "verify", "--suite", "composition",
+                       "--discs", f"-23,{-VERIFY_MAX_ABS_D}")
+    assert code == 0
 
 
 def test_verify_records_unexpected_exception_as_error(capsys, monkeypatch):
