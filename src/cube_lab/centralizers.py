@@ -22,8 +22,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Optional
 
-from .conventions import DIAG_IMAGE_LAST_SIGN, DIAG_TRIPLE_FACTOR_DET
-from .cubes import Cube, act_entries, contract_axis, forms_entries, kostant_entries
+from .cubes import Cube, contract_axis, embed_cubic_entries, forms_entries
 from .errors import InputError
 from .quadforms import SL2, _frac, form_sub
 from .ring import LaurentRing, Poly
@@ -124,106 +123,32 @@ def is_split_fiber(p: int, y: int) -> bool:
 
 # -- stabilizer matrices of the slice cube ------------------------------------
 
+def centralizer_entries(a, alpha):
+    """Entries of the determinant-1 matrix h(alpha) =
+    1/2 * (alpha + 1/alpha, (1/alpha - alpha)/a; a (1/alpha - alpha), alpha + 1/alpha)
+    over any ring where a and alpha are invertible: nonzero Fractions or
+    Laurent monomials.  Triples with alpha1 alpha2 alpha3 = 1 fix
+    kostant_cube(a^2)."""
+    diag = (alpha + alpha ** -1) / 2
+    off = (alpha ** -1 - alpha) * a ** -1 / 2
+    return ((diag, off), (a * a * off, diag))
+
+
 def centralizer_matrix(a, alpha) -> SL2:
-    """The determinant-1 matrix
-    1/2 * (alpha + 1/alpha, (1/alpha - alpha)/a; a (1/alpha - alpha), alpha + 1/alpha);
-    triples of these with alpha1 alpha2 alpha3 = 1 stabilize kostant_cube(a^2).
-    """
+    """h(alpha) over the rationals (`centralizer_entries`) as an SL2."""
     a, alpha = _frac(a), _frac(alpha)
     if a == 0:
         raise InputError("base parameter a must be invertible")
     if alpha == 0:
         raise InputError("alpha must be invertible")
-    diag = (alpha + 1 / alpha) / 2
-    off = (1 / alpha - alpha) / (2 * a)
-    return SL2(diag, off, a * a * off, diag)
-
-
-def centralizer_matrix_symbolic(ring: LaurentRing, a: Poly, alpha: Poly):
-    """Same matrix over a Laurent ring; a and alpha must be invertible monomials."""
-    half = ring.const(Fraction(1, 2))
-    ai = alpha.monomial_inverse()
-    diag = half * (alpha + ai)
-    off = half * (ai - alpha) * a.monomial_inverse()
-    return ((diag, off), (a * a * off, diag))
-
-
-@dataclass(frozen=True)
-class SymbolicReport:
-    name: str
-    ok: bool
-    residuals: tuple[str, ...]
-
-
-def verify_stab_kostant() -> SymbolicReport:
-    """The triple (h(a1), h(a2), h((a1 a2)^-1)) fixes the slice cube, as an
-    exact Laurent-polynomial identity."""
-    ring = LaurentRing(["a", "al1", "al2"], invertible=["a", "al1", "al2"])
-    a = ring.var("a")
-    al1, al2 = ring.var("al1"), ring.var("al2")
-    al3 = (al1 * al2).monomial_inverse()
-    hs = tuple(centralizer_matrix_symbolic(ring, a, al) for al in (al1, al2, al3))
-    kappa = kostant_entries(a * a, ring.zero, ring.one)
-    image = act_entries(hs, kappa)
-    residuals = tuple(str(x - y) for x, y in zip(image, kappa) if x != y)
-    return SymbolicReport("stabilizer-identity", not residuals, residuals)
-
-
-def verify_centralizer_homomorphism() -> SymbolicReport:
-    """h(alpha) h(beta) = h(alpha beta) in the Laurent ring."""
-    ring = LaurentRing(["a", "al", "be"], invertible=["a", "al", "be"])
-    a = ring.var("a")
-    al, be = ring.var("al"), ring.var("be")
-    ha, hb = (centralizer_matrix_symbolic(ring, a, x) for x in (al, be))
-    hab = centralizer_matrix_symbolic(ring, a, al * be)
-    prod = tuple(
-        tuple(sum((ha[i][k] * hb[k][j] for k in (0, 1)), ring.zero) for j in (0, 1))
-        for i in (0, 1)
-    )
-    residuals = tuple(
-        str(prod[i][j] - hab[i][j])
-        for i in (0, 1) for j in (0, 1)
-        if prod[i][j] != hab[i][j]
-    )
-    return SymbolicReport("centralizer-homomorphism", not residuals, residuals)
+    (p, q), (r, s) = centralizer_entries(a, alpha)
+    return SL2(p, q, r, s)
 
 
 def diagonalizing_triple_entries(ring: LaurentRing, a: Poly):
     """The matrix (-1, 1/a; a, 1), used in all three factors.  Its
     determinant is -2, not 1: the triple is a GL2 triple (see conventions)."""
     return ((ring.const(-1), a.monomial_inverse()), (a, ring.one))
-
-
-def diagonalize_kostant() -> tuple[SymbolicReport, list]:
-    """Image of the slice cube under the diagonalizing triple.
-
-    The base of the slice family is the a^2-line, so the root label a is
-    only defined up to the gauge a -> -a.  Both gauges are verified: the
-    triple built from the root a sends kostant_cube(a^2) to
-    -4(a^2, 0, -1/a, 0), and the triple built from the root -a sends it to
-    -4(a^2, 0, 1/a, 0).  Returns the image under the root-a triple.
-    """
-    ring = LaurentRing(["a"], invertible=["a"])
-    a = ring.var("a")
-    kappa = kostant_entries(a * a, ring.zero, ring.one)
-    residuals = []
-    images = {}
-    for root in (a, -a):
-        g = diagonalizing_triple_entries(ring, root)
-        det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-        if det != ring.const(DIAG_TRIPLE_FACTOR_DET):
-            residuals.append(f"factor determinant {det} != {DIAG_TRIPLE_FACTOR_DET}")
-        sign = DIAG_IMAGE_LAST_SIGN if root == a else -DIAG_IMAGE_LAST_SIGN
-        image = act_entries((g, g, g), kappa)
-        expected = (
-            [ring.const(-4) * a * a]
-            + [ring.zero] * 3
-            + [ring.const(-4 * sign) * a.monomial_inverse()]
-            + [ring.zero] * 3
-        )
-        residuals.extend(str(x - y) for x, y in zip(image, expected) if x != y)
-        images[root == a] = image
-    return SymbolicReport("diagonalization", not residuals, tuple(residuals)), images[True]
 
 
 # -- finite-field brute force --------------------------------------------------
@@ -304,7 +229,9 @@ def stabilizer_bruteforce_fp(p: int, cube) -> int:
     factors act on separate tensor indices, so (g1, g2, g3) fixes C exactly
     when (g1, g2, 1).C = (1, 1, g3^-1).C; as S_3 is a group, g3^-1 runs over
     S_3 with g3, and the count matches the images of the two halves, each
-    contracting only the tensor indices it moves.  Accepts a Cube with
+    contracting only the tensor indices it moves.  Any axis can stand alone
+    in this way; the one with the largest stabilizer does (axis 3 on ties),
+    so the double loop runs over the two smaller ones.  Accepts a Cube with
     integer entries or a plain sequence of eight integers.
     """
     if p > 13:
@@ -314,17 +241,19 @@ def stabilizer_bruteforce_fp(p: int, cube) -> int:
             raise InputError("cube must have integer entries to reduce mod p")
         cube = cube.numerators
     entries = tuple(x % p for x in cube)
-    s1, s2, s3 = (
+    stabs = [
         [((a, b), (c, d)) for a, b, c, d in form_stabilizer_fp(q, p)]
         for q in forms_entries(entries)
-    )
+    ]
+    alone = max((2, 1, 0), key=lambda axis: len(stabs[axis]))
+    i, j = (axis for axis in range(3) if axis != alone)
 
     def moved(axis, g, xs):
         return tuple(x % p for x in contract_axis(axis, g, xs))
 
-    third = Counter(moved(2, g3, entries) for g3 in s3)
-    firsts = [moved(0, g1, entries) for g1 in s1]
-    return sum(third[moved(1, g2, e)] for e in firsts for g2 in s2)
+    counted = Counter(moved(alone, g, entries) for g in stabs[alone])
+    firsts = [moved(i, g, entries) for g in stabs[i]]
+    return sum(counted[moved(j, g, e)] for e in firsts for g in stabs[j])
 
 
 def cubic_stab_bruteforce_fp(p: int, cubic_coeffs) -> int:
@@ -333,15 +262,15 @@ def cubic_stab_bruteforce_fp(p: int, cubic_coeffs) -> int:
 
     The resolvent is a covariant, so such a g also fixes the resolvent
     under the same substitution, f -> f((x, y).g); only the transposes of
-    the resolvent's `form_stabilizer_fp` are tested."""
-    from .variants import resolvent_terms  # variants imports this module
-
+    the resolvent's `form_stabilizer_fp` are tested.  The resolvent is any
+    of the three forms of the cubic's triply symmetric cube."""
     if p > 13:
         raise InputError("p capped at 13 for the brute-force oracle")
     if p == 3:
         raise InputError("binomial cubics need 3 invertible")
     a, b, c, d = (x % p for x in cubic_coeffs)
     plain = (a, 3 * b % p, 3 * c % p, d)
-    candidates = form_stabilizer_fp(resolvent_terms(a, b, c, d), p)
+    resolvent = forms_entries(embed_cubic_entries(a, b, c, d))[0]
+    candidates = form_stabilizer_fp(resolvent, p)
     return sum(1 for g11, g12, g21, g22 in candidates
                if binary_form_sub_fp(plain, (g11, g21, g12, g22), p) == plain)

@@ -49,7 +49,7 @@ def _require_capped_discriminant(D: int, cap: int, verb: str) -> None:
 
 
 def _parse_csv_fractions(text: str, expected: int | None = None):
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
     if expected is not None and len(parts) != expected:
         raise InputError(f"expected {expected} comma-separated values, got {len(parts)}")
     return [_frac(p) for p in parts]
@@ -333,28 +333,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# flags whose values may start with a minus sign (negative rationals,
-# discriminants, matrices); merged into --flag=value before parsing
-_VALUE_FLAGS = {
-    "--cube", "--cubic", "--quartic", "--pair", "--form", "--q1", "--q2",
-    "--g1", "--g2", "--g3", "--s", "--v1", "--v2", "--m", "--n",
-    "--discs", "-D", "--seed",
-}
-
-
 def _merge_negative_values(argv):
+    """Merge a value that starts with a minus sign and a digit (a negative
+    rational, discriminant or matrix) into the option before it, as
+    --flag=value, so argparse does not read it as an option.  A flag that
+    takes no value then fails to parse, as it should."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
-        if (tok in _VALUE_FLAGS and nxt is not None and nxt.startswith("-")
-                and len(nxt) > 1 and nxt[1].isdigit()):
-            out.append(f"{tok}={nxt}")
-            i += 2
+    for tok in argv:
+        if (out and out[-1].startswith("-") and "=" not in out[-1]
+                and tok[:1] == "-" and tok[1:2].isdigit()):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 

@@ -71,7 +71,8 @@ class SL2:
         object.__setattr__(self, "r", _frac(self.r))
         object.__setattr__(self, "s", _frac(self.s))
         if self.p * self.s - self.q * self.r != 1:
-            raise InputError(f"determinant of {self.rows()} is not 1")
+            p, q, r, s = map(frac_to_str, (self.p, self.q, self.r, self.s))
+            raise InputError(f"determinant of ({p}, {q}; {r}, {s}) is not 1")
 
     @staticmethod
     def identity() -> "SL2":

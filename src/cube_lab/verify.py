@@ -17,6 +17,8 @@ from math import gcd
 from . import centralizers, composition, orbits, quadforms, variants
 from .conventions import (
     COMPACT_DET_SIGN,
+    DIAG_IMAGE_LAST_SIGN,
+    DIAG_TRIPLE_FACTOR_DET,
     GRAM_SIGN,
     MOMENT_MIRROR_TWIST,
     THIRD_FORM_IS_INVERSE,
@@ -195,22 +197,45 @@ def check_moment_map():
     return "omega(C, xi.C)/2 = Tr(matrix of mirror form * xi)"
 
 
+def _assert_equal(got, want):
+    """Entrywise equality of two sequences; a failure lists the nonzero residuals."""
+    residuals = [str(x - y) for x, y in zip(got, want) if x != y]
+    assert not residuals, "; ".join(residuals)
+
+
 def check_diagonalization():
-    report, _ = centralizers.diagonalize_kostant()
-    assert report.ok, "; ".join(report.residuals)
+    """The base of the slice family is the a^2-line, so the root label a is
+    only defined up to the gauge a -> -a; both gauges are checked, each with
+    its factor determinant."""
+    ring = LaurentRing(("a",), invertible=("a",))
+    a = ring.var("a")
+    kappa = kostant_entries(a * a, ring.zero, ring.one)
+    got, want = [], []
+    for root, sign in ((a, DIAG_IMAGE_LAST_SIGN), (-a, -DIAG_IMAGE_LAST_SIGN)):
+        g = centralizers.diagonalizing_triple_entries(ring, root)
+        got += [det2(g), *act_entries((g, g, g), kappa)]
+        want += [ring.const(DIAG_TRIPLE_FACTOR_DET), -4 * a * a, *[ring.zero] * 3,
+                 -4 * sign * a ** -1, *[ring.zero] * 3]
+    _assert_equal(got, want)
     return ("image is -4(a^2, 0, -1/a, 0); the other root gauge gives "
             "-4(a^2, 0, 1/a, 0); factor determinant -2 recorded")
 
 
 def check_stabilizer():
-    report = centralizers.verify_stab_kostant()
-    assert report.ok, "; ".join(report.residuals)
+    ring = LaurentRing(("a", "al1", "al2"), invertible=("a", "al1", "al2"))
+    a, al1, al2 = (ring.var(n) for n in ("a", "al1", "al2"))
+    hs = tuple(centralizers.centralizer_entries(a, al) for al in (al1, al2, (al1 * al2) ** -1))
+    kappa = kostant_entries(a * a, ring.zero, ring.one)
+    _assert_equal(act_entries(hs, kappa), kappa)
     return "h-triples with product-one parameters fix the slice cube"
 
 
 def check_centralizer_homomorphism():
-    report = centralizers.verify_centralizer_homomorphism()
-    assert report.ok, "; ".join(report.residuals)
+    ring = LaurentRing(("a", "al", "be"), invertible=("a", "al", "be"))
+    a, al, be = (ring.var(n) for n in ("a", "al", "be"))
+    ha, hb, hab = (centralizers.centralizer_entries(a, x) for x in (al, be, al * be))
+    prod = [ha[i][0] * hb[0][j] + ha[i][1] * hb[1][j] for i in (0, 1) for j in (0, 1)]
+    _assert_equal(prod, [x for row in hab for x in row])
     return "h(alpha) h(beta) = h(alpha beta)"
 
 

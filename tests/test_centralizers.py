@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -9,9 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 from cube_lab.centralizers import (
     JElement,
     binary_form_sub_fp,
+    centralizer_entries,
     centralizer_matrix,
     cubic_stab_bruteforce_fp,
-    diagonalize_kostant,
+    diagonalizing_triple_entries,
     is_split_fiber,
     j_fiber_elements,
     j_identity,
@@ -21,13 +25,13 @@ from cube_lab.centralizers import (
     j_torsion_order,
     sl2_fp,
     stabilizer_bruteforce_fp,
-    verify_centralizer_homomorphism,
-    verify_stab_kostant,
 )
-from cube_lab.cubes import Cube, act_entries, kostant_cube, rank_one_entries
+from cube_lab.cubes import Cube, act_entries, kostant_cube, kostant_entries, rank_one_entries
 from cube_lab.errors import InputError
 from cube_lab.quadforms import SL2
+from cube_lab.ring import LaurentRing
 from cube_lab.variants import pgl2_fp
+from cube_lab.verify import check_centralizer_homomorphism, check_diagonalization, check_stabilizer
 
 rng = random.Random(3)
 
@@ -160,11 +164,14 @@ def test_identity_triple_stabilizes_everything():
         assert stabilizer_check((SL2.identity(),) * 3, cube)
 
 
-def test_symbolic_reports():
-    assert verify_stab_kostant().ok
-    assert verify_centralizer_homomorphism().ok
-    report, image = diagonalize_kostant()
-    assert report.ok
+def test_symbolic_checks():
+    check_stabilizer()
+    check_centralizer_homomorphism()
+    check_diagonalization()
+    ring = LaurentRing(["a"], invertible=["a"])
+    a = ring.var("a")
+    g = diagonalizing_triple_entries(ring, a)
+    image = act_entries((g, g, g), kostant_entries(a * a, ring.zero, ring.one))
     assert str(image[0]) == "-4*a^2"
     assert str(image[4]) == "4*a^-1"
 
@@ -194,13 +201,10 @@ def test_j_group_law_modulo_rewriting():
 
 def test_centralizer_matrices_are_root_gauge_stable():
     # h(alpha; -a) = h(1/alpha; a): the (a, alpha) -> (-a, 1/alpha) descent
-    from cube_lab.ring import LaurentRing
-    from cube_lab.centralizers import centralizer_matrix_symbolic
-
     ring = LaurentRing(["a", "al"], invertible=["a", "al"])
     a, al = ring.var("a"), ring.var("al")
-    flipped = centralizer_matrix_symbolic(ring, -a, al)
-    inverted = centralizer_matrix_symbolic(ring, a, al.monomial_inverse())
+    flipped = centralizer_entries(-a, al)
+    inverted = centralizer_entries(a, al ** -1)
     for i in (0, 1):
         for j in (0, 1):
             assert flipped[i][j] == inverted[i][j]
@@ -266,6 +270,16 @@ def test_cubic_stab_counts():
         cubic_stab_bruteforce_fp(3, (1, 0, 1, 0))
     with pytest.raises(InputError):
         cubic_stab_bruteforce_fp(17, (1, 0, 1, 0))
+
+
+def test_cubic_oracle_runs_without_variants():
+    # the oracle reads its resolvent off the cube; variants imports
+    # centralizers, so the reverse import would be a cycle
+    code = ("import sys; from cube_lab import centralizers; "
+            "assert centralizers.cubic_stab_bruteforce_fp(5, (1, 0, 1, 0)) == 1; "
+            "assert 'cube_lab.variants' not in sys.modules")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_cubic_stab_degenerate_is_report_only():

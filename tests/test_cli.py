@@ -1,6 +1,8 @@
 import json
 import sys
 
+import pytest
+
 from cube_lab import composition, verify
 from cube_lab.cli import CLASSGROUP_MAX_ABS_D, VERIFY_MAX_ABS_D, main
 from cube_lab.errors import InternalError
@@ -288,6 +290,34 @@ def test_verify_composite_prime_exits_2(capsys):
 def test_verify_unsupported_prime_exits_2(capsys):
     code, out, err = run(capsys, "verify", "--suite", "ff", "--primes", "3,2")
     assert code == 2 and out == "" and "error:" in err
+
+
+def test_verify_negative_prime_reaches_the_primes_check(capsys):
+    # "-3,5" is the value of --primes, not an option
+    code, out, err = run(capsys, "verify", "--suite", "ff", "--primes", "-3,5")
+    assert code == 2 and out == "" and "--primes: -3" in err
+
+
+def test_valueless_flag_followed_by_negative_number_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--timings", "-3"])
+    assert exc.value.code == 2
+
+
+def test_empty_comma_fields_exit_2(capsys):
+    for argv in (("variants", "cubic-disc", "--cubic", "1,,2,3,4"),
+                 ("variants", "cubic-disc", "--cubic", ",1,2,3,4,"),
+                 ("cube", "act", "--cube", GHZ_JSON, "--g1", "1,0,;0,1",
+                  "--g2", "1,0;0,1", "--g3", "1,0;0,1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "error:" in err, argv
+
+
+def test_determinant_error_prints_plain_rationals(capsys):
+    code, out, err = run(capsys, "cube", "act", "--cube", GHZ_JSON,
+                         "--g1", "2,0;0,1", "--g2", "1,0;0,1", "--g3", "1,0;0,1")
+    assert code == 2 and out == ""
+    assert "Fraction(" not in err and "(2, 0; 0, 1)" in err
 
 
 def test_verify_non_integer_discriminant_exits_2(capsys):

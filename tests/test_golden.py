@@ -1,7 +1,8 @@
 """Byte-for-byte pins on what users see: the `cube-lab verify` report at the
-default seed and the stdout of every README "CLI examples" command.
+default seed and at every supported prime, and the stdout of every README
+"CLI examples" command.
 
-The expected text lives in tests/golden/.  A refactor that changes either
+The expected text lives in tests/golden/.  A refactor that changes any
 output shows up here as a diff against those files.
 """
 
@@ -18,6 +19,9 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # sha256 of the stdout of `cube-lab verify` (seed 2024, 47 checks)
 VERIFY_SHA256 = "2ab94c892a791cef226b088e2b7eaa590c61378f8a2dd5b7a732a95142367435"
+
+# sha256 of the stdout of `cube-lab verify --suite ff --primes 3,5,7,11,13`
+VERIFY_FF_SHA256 = "5761cf9591e1d3378a6fcf897a841ffde416d353b74fd03812b51a06c565e5bf"
 
 GHZ_JSON = '{"a":"1","b":["0","0","0"],"c":"1","d":["0","0","0"]}'
 
@@ -75,6 +79,13 @@ def test_verify_default_seed_is_pinned():
     assert report.ok and len(report.results) == 47
     assert text == (GOLDEN / "verify_seed2024.txt").read_text()
     assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_SHA256
+
+
+def test_verify_every_supported_prime_is_pinned(capsys):
+    assert main(["verify", "--suite", "ff", "--primes", "3,5,7,11,13"]) == 0
+    text = capsys.readouterr().out
+    assert text == (GOLDEN / "verify_ff_all_primes.txt").read_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == VERIFY_FF_SHA256
 
 
 def test_readme_cli_examples_are_pinned(capsys, monkeypatch):

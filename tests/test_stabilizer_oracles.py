@@ -152,6 +152,19 @@ def test_cube_stabilizer_matches_reference(p, cube):
     assert stabilizer_bruteforce_fp(p, cube) == reference_cube_count(p, cube)
 
 
+def test_cube_stabilizer_matches_reference_on_separable_cubes():
+    # two forms vanish on each SEP representative, a different pair for
+    # each, so the oracle's lone axis and double loop differ between them
+    seps = [info.representative.numerators for info in all_orbit_info()
+            if str(info.orbit).startswith("SEP")]
+    assert len(seps) == 3
+    for p in (5, 7):
+        for entries in seps:
+            moved = [int(x) for x in _moved_cube(entries, p)]
+            for cube in (list(entries), moved):
+                assert stabilizer_bruteforce_fp(p, cube) == reference_cube_count(p, cube)
+
+
 def _double_root_cubic(u, v, r, s):
     """(v x - u y)^2 (r x + s y), as binomial coefficients of three times it
     (3 is invertible at every prime used here); its disc is 0 over Z."""
